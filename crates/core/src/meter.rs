@@ -520,7 +520,7 @@ pub fn measure_metering_cost(
     // `GridSampler::sample` allocates per call and is not for hot paths.
     let mut snapshot = Vec::new();
     sampler.sample_into(framebuffer, &mut snapshot);
-    // ccdem-lint: allow(determinism) — micro-bench helper; host time is its output
+    // ccdem-lint: allow(determinism) — Fig. 6 cost probe; host time is its output
     let start = std::time::Instant::now();
     for _ in 0..iterations {
         // One full meter step: compare and re-capture, fused.

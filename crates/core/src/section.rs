@@ -5,7 +5,7 @@
 //! measurable content rate at the refresh rate, so once the panel runs at
 //! 20 Hz the meter can never read more than 20 fps and the controller
 //! could never climb back up. (That rejected rule is kept here as
-//! [`NaiveRateMapper`] for the ablation benches.)
+//! [`NaiveRateMapper`] for the ablation sweeps.)
 //!
 //! Instead, the *section table* splits the content-rate axis at the median
 //! between adjacent refresh rates (with a virtual 0 Hz rate below the

@@ -221,8 +221,8 @@ proptest! {
         );
         // The fast path never reads more than the naive double gather;
         // the strict ≥2× reduction is a redundant-frame property,
-        // asserted deterministically in the meter's unit tests and by
-        // `perf::validate` on the benchmark report.
+        // asserted deterministically in the meter's unit tests and, at
+        // the paper's five budgets, in `fig6`'s point-read unit test.
         prop_assert!(fast.points_read() <= naive.points_read());
         // Tile accounting: only checked tiles descend, and the naive
         // reference never consults a signature.

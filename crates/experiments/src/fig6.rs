@@ -141,6 +141,9 @@ impl fmt::Display for Fig6 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccdem_core::meter::FrameClass;
+    use ccdem_pixelbuf::geometry::Rect;
+    use ccdem_pixelbuf::pixel::Pixel;
 
     fn quick() -> Fig6 {
         run(&Fig6Config {
@@ -187,6 +190,79 @@ mod tests {
             t_full > t9k * 5,
             "full scan {t_full:?} should dwarf 9K scan {t9k:?}"
         );
+    }
+
+    /// Exact grid points the meter reads per frame over ten frames of
+    /// `mutate` at full Galaxy S3 resolution, after one untimed priming
+    /// capture. `naive` selects the compare-plus-capture reference path;
+    /// otherwise frames go through the damage-aware gather. Every frame
+    /// must classify as `expected`.
+    fn points_read_per_frame(
+        sampler: &GridSampler,
+        naive: bool,
+        expected: FrameClass,
+        mut mutate: impl FnMut(&mut FrameBuffer, u32),
+    ) -> f64 {
+        const FRAMES: u32 = 10;
+        let mut fb = FrameBuffer::new(Resolution::GALAXY_S3);
+        let mut meter = ContentRateMeter::new(sampler.clone());
+        meter.set_naive(naive);
+        fb.fill(Pixel::grey(10));
+        fb.take_damage();
+        meter.observe(&fb, SimTime::ZERO);
+        let before = meter.points_read();
+        for i in 0..FRAMES {
+            mutate(&mut fb, i);
+            let damage = fb.take_damage();
+            let now = SimTime::from_micros(u64::from(i + 1) * 16_667);
+            let class = if naive {
+                meter.observe(&fb, now)
+            } else {
+                meter.observe_damaged(&fb, &damage, now)
+            };
+            assert_eq!(class, expected, "frame {i} misclassified");
+        }
+        (meter.points_read() - before) as f64 / f64::from(FRAMES)
+    }
+
+    #[test]
+    fn paper_budgets_point_read_accounting() {
+        let res = Resolution::GALAXY_S3;
+        // A status-bar-clock-sized patch placed mid-screen, so it always
+        // covers at least one grid point.
+        let patch = Rect::new(res.width / 2, res.height / 2, res.width / 8, res.height / 32);
+        for &budget in &PAPER_BUDGETS {
+            let sampler = GridSampler::for_pixel_budget(res, budget);
+            let pixels = sampler.sample_count() as f64;
+            let redundant = FrameClass::Redundant;
+            let meaningful = FrameClass::Meaningful;
+
+            // Redundant frames classify without reading a pixel; the
+            // naive reference pays a compare pass plus a capture pass.
+            let fast = points_read_per_frame(&sampler, false, redundant, |fb, _| fb.touch());
+            assert_eq!(fast, 0.0, "budget {budget}: redundant frame read pixels");
+            let naive = points_read_per_frame(&sampler, true, redundant, |fb, _| fb.touch());
+            assert_eq!(naive, 2.0 * pixels, "budget {budget}: naive reads");
+
+            // The patch straddles tile boundaries, so the damaged path
+            // still descends, but into far fewer points than the grid.
+            let damaged = points_read_per_frame(&sampler, false, meaningful, |fb, i| {
+                fb.fill_rect(patch, Pixel::grey((i % 200) as u8));
+            });
+            assert!(damaged >= 1.0, "budget {budget}: patch must cover a grid point");
+            assert!(
+                damaged < pixels,
+                "budget {budget}: damaged path read {damaged} of {pixels} points"
+            );
+
+            // A full-screen fill leaves every tile provably solid: the
+            // gather compares against the known colour and refreshes the
+            // snapshot without touching the framebuffer.
+            let full = points_read_per_frame(&sampler, false, meaningful, |fb, i| {
+                fb.fill(Pixel::grey((i % 200) as u8));
+            });
+            assert_eq!(full, 0.0, "budget {budget}: solid tiles must read nothing");
+        }
     }
 
     #[test]

@@ -13,9 +13,7 @@
 //! | [`fig8`] | Fig. 8 — saved-power traces (Facebook, Jelly Splash) |
 //! | [`sweep`] | Figs. 9–11 and Table 1 — the 30-app × policy sweep |
 //! | [`fleet`] | population-scale device campaigns with checkpoint/resume |
-//! | [`perf`] | the metering benchmark (`BENCH_PR3.json` … `BENCH_PR6.json`) |
-//! | [`perfcmp`] | report-vs-report delta table and the generation-keyed speedup gate |
-//! | [`perf_sweep`] | scratch-reuse wall-clock harness (fresh vs reused) |
+//! | [`profile`] | decision-path profiler behind `ccdem profile` and the decision-tick budget |
 //! | [`ablation`] | design-knob sweeps beyond the paper |
 //! | [`generalize`] | the section table on 90/120 Hz rate ladders |
 //! | [`certificate`] | all headline claims, re-derived and checked mechanically |
@@ -24,6 +22,10 @@
 //! `Display` impl that prints the paper-style table, so the binary in
 //! `examples/paper_report.rs` is a thin dispatcher. [`export`] writes any
 //! run's time series or a batch of summaries as CSV.
+//!
+//! Host-time performance lives outside this crate: the `perfbench`
+//! benchmark (run by the command in `BENCHMARK.json`, documented in
+//! `perfbench/NOTES.md`) measures end-to-end and per-layer speed.
 
 pub mod ablation;
 pub mod campaign;
@@ -36,9 +38,6 @@ pub mod fig7;
 pub mod fig8;
 pub mod fleet;
 pub mod generalize;
-pub mod perf;
-pub mod perf_sweep;
-pub mod perfcmp;
 pub mod profile;
 pub mod scenario;
 pub mod sweep;

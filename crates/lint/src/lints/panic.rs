@@ -19,10 +19,9 @@ use crate::diag::{Diagnostic, LintId};
 use crate::lexer::Tok;
 use crate::source::{matching, SourceFile};
 
-/// Crates exempt from the panic policy: the vendored `proptest` /
-/// `criterion` shims (panicking is how a property-test or bench harness
-/// reports failure) and the bench crate itself.
-pub const EXEMPT_CRATES: [&str; 3] = ["proptest", "criterion", "bench"];
+/// Crates exempt from the panic policy: the vendored `proptest` shim
+/// (panicking is how a property-test harness reports failure).
+pub const EXEMPT_CRATES: [&str; 1] = ["proptest"];
 
 /// Keywords that can legally precede `[` without forming an index
 /// expression (slice patterns, array types/literals after `=`, …).

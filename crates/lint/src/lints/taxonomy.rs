@@ -18,14 +18,14 @@
 use crate::diag::{Diagnostic, LintId};
 use crate::source::SourceFile;
 
-/// Crates never scanned for emissions: the shims and bench harness are
-/// out of telemetry scope, and the lint itself matches on these method
+/// Crates never scanned for emissions: the `proptest` shim is out of
+/// telemetry scope, and the lint itself matches on these method
 /// names. The `obs` framework crate *is* scanned — it registers its own
 /// `obs.events_dropped` / `obs.io_errors` sink-health counters, which
 /// must stay documented like any other metric (its name parameters and
 /// doc/test literals don't trip the lint: parameters aren't literals,
 /// and doc comments lex as single tokens).
-pub const SCAN_EXEMPT_CRATES: [&str; 3] = ["proptest", "criterion", "lint"];
+pub const SCAN_EXEMPT_CRATES: [&str; 2] = ["proptest", "lint"];
 
 /// A name used at a call site.
 #[derive(Debug, Clone, PartialEq, Eq)]

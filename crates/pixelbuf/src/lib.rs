@@ -9,8 +9,6 @@
 //!   content-generation counters.
 //! * [`damage`] — damage regions: which pixels the draw ops may have
 //!   changed, consumed by the meter's damage-restricted fast path.
-//! * [`double_buffer`] — the snapshot pair used by content-rate metering
-//!   (paper §3.1, "double buffering").
 //! * [`grid`] — grid-based sparse comparison (paper §3.1, "grid-based
 //!   comparison"), including the exact Galaxy S3 grid configurations of
 //!   Fig. 6.
@@ -49,7 +47,6 @@
 pub mod buffer;
 pub mod damage;
 pub mod diff;
-pub mod double_buffer;
 pub mod draw;
 pub mod geometry;
 pub mod grid;
@@ -60,7 +57,6 @@ pub mod tile;
 
 pub use buffer::FrameBuffer;
 pub use damage::DamageRegion;
-pub use double_buffer::DoubleBuffer;
 pub use geometry::{Rect, Resolution};
 pub use grid::GridSampler;
 pub use pixel::{Pixel, PixelFormat};

@@ -3,7 +3,6 @@
 use ccdem_pixelbuf::buffer::FrameBuffer;
 use ccdem_pixelbuf::damage::{DamageRegion, MAX_DAMAGE_RECTS};
 use ccdem_pixelbuf::diff::{buffers_equal, changed_pixel_count};
-use ccdem_pixelbuf::double_buffer::DoubleBuffer;
 use ccdem_pixelbuf::geometry::{Rect, Resolution};
 use ccdem_pixelbuf::grid::GridSampler;
 use ccdem_pixelbuf::pixel::{Pixel, PixelFormat};
@@ -193,23 +192,6 @@ proptest! {
         let mut after = before.clone();
         after.fill_rect(rect, Pixel::WHITE);
         prop_assert!(g.changed_points(&after, &snap) <= changed_pixel_count(&before, &after));
-    }
-
-    /// Double-buffer protocol: after n captures, front is the latest
-    /// frame and back the one before it.
-    #[test]
-    fn double_buffer_holds_last_two(greys in proptest::collection::vec(1u8..=255, 2..20)) {
-        let res = Resolution::new(4, 4);
-        let mut db = DoubleBuffer::new(res);
-        let mut fb = FrameBuffer::new(res);
-        for &g in &greys {
-            fb.fill(Pixel::grey(g));
-            db.capture(&fb);
-        }
-        let n = greys.len();
-        prop_assert_eq!(db.front().pixel(0, 0), Pixel::grey(greys[n - 1]));
-        prop_assert_eq!(db.back().pixel(0, 0), Pixel::grey(greys[n - 2]));
-        prop_assert_eq!(db.captures(), n as u64);
     }
 
     /// Scrolling by the full height (or more) is equivalent to a fill.

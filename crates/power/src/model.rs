@@ -145,7 +145,7 @@ impl PowerCoefficients {
     /// is avoided on refreshes whose content did not change. With PSR the
     /// fixed-60 Hz baseline already skips most link traffic for idle
     /// apps, which shrinks (but does not eliminate) the paper's savings —
-    /// the `ablations` bench quantifies the interaction.
+    /// the PSR ablation sweep quantifies the interaction.
     ///
     /// # Panics
     ///

@@ -3,7 +3,7 @@
 //!
 //! The experiment sweeps are embarrassingly parallel: each `(app, policy)`
 //! scenario owns its RNG (seeded purely from the scenario description) and
-//! shares no mutable state with its siblings. [`ParallelRunner::run_many`]
+//! shares no mutable state with its siblings. [`ParallelRunner::run_many_with`]
 //! exploits that with plain `std::thread::scope` workers pulling chunks
 //! from a shared queue — no external dependencies, no work stealing, no
 //! unsafe code.
@@ -28,7 +28,7 @@
 //! ```
 //! use ccdem_simkit::parallel::ParallelRunner;
 //!
-//! let squares = ParallelRunner::new(4).run_many((0u64..100).collect(), |i, x| {
+//! let squares = ParallelRunner::new(4).run_many_with((0u64..100).collect(), || (), |(), i, x| {
 //!     let _ = i;
 //!     x * x
 //! });
@@ -106,9 +106,23 @@ impl ParallelRunner {
         self.jobs
     }
 
-    /// Runs `f(index, item)` for every item and returns the results in
-    /// input order. `f` receives each item's index in `items` so it can
-    /// derive per-run seeds (see [`derive_seed`]).
+    /// Runs `f(state, index, item)` for every item and returns the
+    /// results in input order. `f` receives each item's index in `items`
+    /// so it can derive per-run seeds (see [`derive_seed`]).
+    ///
+    /// **Per-worker scratch state:** each worker lazily builds one `S`
+    /// via `init` the first time it picks up work, then passes `&mut` of
+    /// that same state to every `f(state, index, item)` it executes.
+    /// With one worker (or one item), a single state serves all items on
+    /// the calling thread in input order. Callers without scratch pass
+    /// `|| ()` as `init`.
+    ///
+    /// This is how sweeps reuse expensive per-run scratch (framebuffers,
+    /// snapshots) without allocating per item. Determinism is preserved
+    /// as long as `f`'s *result* does not depend on the incoming state —
+    /// i.e. the scratch is reset before use, which `RunScratch` consumers
+    /// guarantee. Which items share a state *is* scheduling-dependent;
+    /// results must not be.
     ///
     /// # Allocation contract
     ///
@@ -122,37 +136,9 @@ impl ParallelRunner {
     /// generates items lazily from their index and keeps only one
     /// accumulator per worker.
     ///
-    /// With one worker (or one item) everything runs on the calling
-    /// thread, in order, with no thread or lock overhead — the exact
-    /// legacy serial path. Otherwise workers pull chunks from a shared
+    /// With more than one worker, workers pull chunks from a shared
     /// queue; chunking keeps queue contention negligible while still
     /// balancing uneven run times.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the first panic raised by `f` (after all workers stop).
-    pub fn run_many<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        self.run_many_with(items, || (), |(), i, t| f(i, t))
-    }
-
-    /// [`run_many`](Self::run_many) with **per-worker scratch state**:
-    /// each worker lazily builds one `S` via `init` the first time it
-    /// picks up work, then passes `&mut` of that same state to every
-    /// `f(state, index, item)` it executes. With one worker (or one
-    /// item), a single state serves all items on the calling thread in
-    /// input order.
-    ///
-    /// This is how sweeps reuse expensive per-run scratch (framebuffers,
-    /// snapshots) without allocating per item. Determinism is preserved
-    /// as long as `f`'s *result* does not depend on the incoming state —
-    /// i.e. the scratch is reset before use, which `RunScratch` consumers
-    /// guarantee. Which items share a state *is* scheduling-dependent;
-    /// results must not be.
     ///
     /// # Panics
     ///
@@ -339,8 +325,8 @@ impl ParallelRunner {
     /// derives the item from its index (see [`derive_seed`]), runs it,
     /// and folds the result into the accumulator, so a million-item
     /// campaign needs neither a `Vec<T>` of specs nor a `Vec<R>` of
-    /// results (contrast the [`run_many`](Self::run_many) allocation
-    /// contract).
+    /// results (contrast the [`run_many_with`](Self::run_many_with)
+    /// allocation contract).
     ///
     /// # Determinism
     ///
@@ -418,17 +404,6 @@ impl ParallelRunner {
     }
 }
 
-/// Convenience free function: [`ParallelRunner::run_many`] with `jobs`
-/// workers (`0` = all cores).
-pub fn run_many<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    ParallelRunner::new(jobs).run_many(items, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,7 +413,7 @@ mod tests {
     fn results_in_input_order_regardless_of_jobs() {
         let items: Vec<u64> = (0..257).collect();
         for jobs in [1, 2, 3, 8] {
-            let out = ParallelRunner::new(jobs).run_many(items.clone(), |i, x| {
+            let out = ParallelRunner::new(jobs).run_many_with(items.clone(), || (), |(), i, x| {
                 assert_eq!(i as u64, x);
                 x * 3
             });
@@ -450,15 +425,16 @@ mod tests {
     fn parallel_matches_serial_exactly() {
         let work = |i: usize, x: u64| derive_seed(x, i as u64);
         let items: Vec<u64> = (0..100).map(|i| i * 7).collect();
-        let serial = ParallelRunner::new(1).run_many(items.clone(), work);
-        let parallel = ParallelRunner::new(4).run_many(items, work);
+        let serial =
+            ParallelRunner::new(1).run_many_with(items.clone(), || (), |(), i, x| work(i, x));
+        let parallel = ParallelRunner::new(4).run_many_with(items, || (), |(), i, x| work(i, x));
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn all_items_processed_once() {
         let calls = AtomicUsize::new(0);
-        let out = ParallelRunner::new(4).run_many(vec![(); 1000], |_, ()| {
+        let out = ParallelRunner::new(4).run_many_with(vec![(); 1000], || (), |(), _, ()| {
             calls.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(out.len(), 1000);
@@ -474,7 +450,8 @@ mod tests {
 
     #[test]
     fn empty_input_yields_empty_output() {
-        let out: Vec<u64> = ParallelRunner::new(4).run_many(Vec::<u64>::new(), |_, x| x);
+        let out: Vec<u64> =
+            ParallelRunner::new(4).run_many_with(Vec::<u64>::new(), || (), |(), _, x| x);
         assert!(out.is_empty());
     }
 
@@ -482,7 +459,7 @@ mod tests {
     fn actually_uses_multiple_threads() {
         use std::collections::HashSet;
         let ids = Mutex::new(HashSet::new());
-        ParallelRunner::new(4).run_many(vec![(); 64], |_, ()| {
+        ParallelRunner::new(4).run_many_with(vec![(); 64], || (), |(), _, ()| {
             ids.lock().unwrap().insert(std::thread::current().id());
             std::thread::sleep(std::time::Duration::from_millis(1));
         });
@@ -531,10 +508,10 @@ mod tests {
     }
 
     #[test]
-    fn run_many_with_matches_run_many_when_state_is_unused() {
+    fn run_many_with_matches_a_serial_map_when_state_is_unused() {
         let work = |i: usize, x: u64| derive_seed(x, i as u64);
         let items: Vec<u64> = (0..100).map(|i| i * 3).collect();
-        let plain = ParallelRunner::new(4).run_many(items.clone(), work);
+        let plain: Vec<u64> = items.iter().enumerate().map(|(i, &x)| work(i, x)).collect();
         let with = ParallelRunner::new(4).run_many_with(items, || (), |(), i, x| work(i, x));
         assert_eq!(plain, with);
     }
@@ -543,7 +520,8 @@ mod tests {
     fn observed_results_match_unobserved_in_input_order() {
         let work = |i: usize, x: u64| derive_seed(x, i as u64);
         let items: Vec<u64> = (0..200).map(|i| i * 11).collect();
-        let plain = ParallelRunner::new(4).run_many(items.clone(), work);
+        let plain =
+            ParallelRunner::new(4).run_many_with(items.clone(), || (), |(), i, x| work(i, x));
         let mut seen = Vec::new();
         let observed = ParallelRunner::new(4).run_many_observed(
             items,

@@ -12,12 +12,25 @@ cargo test -q --test trace_jsonl
 # Profile smoke: the decision-path profiler end-to-end — binary runs,
 # every JSONL line parses, exactly one self-time table prints.
 cargo test -q --test profile_jsonl
-# Bench smoke: the fast-path benchmark runs, its JSON parses, the
-# redundant-frame pixel-read reduction holds, and the freshly measured
-# decision-tick p99 fits the budget (ccdem bench --check fails on
-# malformed or regressed output).
-cargo run --release -q --bin ccdem -- bench --quick --out target/bench_smoke.json
-cargo run --release -q --bin ccdem -- bench --check target/bench_smoke.json
+# Decision-tick budget: a fresh release-binary measurement of HEAD. The
+# budget (DECISION_TICK_BUDGET_US = 200 µs) is the paper's "negligible
+# overhead per control window" claim made checkable: the control window
+# is 500 ms, so a tick under 200 µs costs less than 0.04 % of it.
+# Release ticks measure in the single-digit microseconds, leaving two
+# orders of magnitude of headroom for slow CI hosts without ever
+# tolerating an accidental O(pixels) regression in the decision path.
+# 5400 simulated seconds yield over 10 000 ticks, so p99 is a real
+# percentile and not the max of a few dozen samples.
+cargo run --release -q --bin ccdem -- profile --duration 5400 -q | tee target/profile_ticks.txt
+awk '/^decision tick:/ {
+    ticks = $3
+    for (i = 1; i < NF; i++) if ($i == "p99") p99 = $(i + 1)
+}
+END {
+    if (ticks >= 10000 && p99 != "" && p99 <= 200) exit 0
+    printf "ci: decision tick: %s ticks, p99 %s µs (need >= 10000 ticks, p99 <= 200 µs)\n", ticks, p99 > "/dev/stderr"
+    exit 1
+}' target/profile_ticks.txt
 # Fleet CLI end-to-end: worker-count byte identity, kill+resume byte
 # identity, replay, and trace taxonomy through the real binary.
 cargo test -q --test fleet_e2e
@@ -33,22 +46,14 @@ cargo run --release -q --bin ccdem -- fleet --devices 96 --duration 1 --seed 17 
 cargo run --release -q --bin ccdem -- fleet --resume target/fleet_ckpt.json \
     --jobs 3 --out target/fleet_resumed.json -q
 cmp target/fleet_full.json target/fleet_resumed.json
-# Speedup gates on the *committed* reports (deterministic: no fresh
-# measurement involved): the row-run engine must halve full_change at
-# the full grid over PR 3, the tile-signature engine must beat the
-# row-run engine by 1.5x there, and the later generations must not
-# regress it; none may regress redundant/small_damage, the PR 7+
-# reports' decision-tick p99 must fit its budget, and the PR 8 report's
-# streaming fleet dispatch must beat materialized dispatch.
-cargo run --release -q --bin ccdem -- bench --check BENCH_PR5.json --baseline BENCH_PR3.json
-cargo run --release -q --bin ccdem -- bench --check BENCH_PR6.json --baseline BENCH_PR5.json
-cargo run --release -q --bin ccdem -- bench --check BENCH_PR7.json --baseline BENCH_PR6.json
-cargo run --release -q --bin ccdem -- bench --check BENCH_PR8.json --baseline BENCH_PR7.json
-# Compare-table smoke via the shell wrapper (exercises --compare, the
-# decision-tick delta line, and the fleet devices/sec table).
-scripts/bench.sh --compare BENCH_PR3.json BENCH_PR5.json
-scripts/bench.sh --compare BENCH_PR6.json BENCH_PR7.json
-scripts/bench.sh --compare BENCH_PR7.json BENCH_PR8.json
+# Benchmark smoke: perfbench (the command in BENCHMARK.json) on every
+# workload, untraced and traced. Each run exits non-zero when a
+# workload's output differs from the committed perfbench/refs or when
+# the traced replica is not byte-identical to the scenario engine.
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload all --seconds 1 --trace 0
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload all --seconds 1 --trace 1
 # Workspace static analysis (hard gate): determinism, panic-policy,
 # alloc-hot-path, arith-cast, atomics-ordering, obs-taxonomy, and
 # section-table invariants — see DESIGN.md §10. `--stats` prints

@@ -8,6 +8,8 @@
 //!                [--csv <file>]
 //! ccdem trace    --out <file.jsonl> [--app <name>] [--policy <p>]
 //!                [--duration <secs>] [--seed <n>] [--full-res]
+//! ccdem profile  [--app <name>] [--policy <p>] [--duration <secs>]
+//!                [--seed <n>] [--out <file.jsonl>] [--full-res]
 //! ccdem sweep    [--duration <secs>] [--seed <n>] [--jobs <n>]
 //!                [--obs summary|none]
 //! ccdem report   [--duration <secs>] [--seed <n>] [--jobs <n>]
@@ -25,7 +27,9 @@
 //! per-second time series for plotting. `trace` runs one governed app with
 //! a live telemetry sink and writes every decision-path event — meter
 //! classifications, governor decisions, panel refreshes and rate
-//! switches — as JSON Lines. `sweep` runs the 30-app × 3-policy sweep on a
+//! switches — as JSON Lines. `profile` runs one app with the
+//! decision-path profiler and prints the per-phase self-time table and
+//! decision-tick percentiles. `sweep` runs the 30-app × 3-policy sweep on a
 //! worker pool (`--jobs 1` forces the serial path; the results are
 //! identical either way) and prints Table 1 plus host timing; `report`
 //! prints every sweep-derived view (Figs. 9–11 and Table 1) plus the
@@ -37,6 +41,10 @@
 //! `--replay-device K` re-runs any single device in isolation. `lint`
 //! runs the zero-dependency workspace
 //! static-analysis pass (DESIGN.md §10) and exits non-zero on findings.
+//!
+//! Host-time performance is measured by the separate `perfbench`
+//! benchmark (the command in `BENCHMARK.json`, see `perfbench/NOTES.md`),
+//! not by this tool.
 //!
 //! Every command accepts `--quiet`/`-q` to suppress progress chatter on
 //! stderr; results on stdout are unaffected. Unknown flags are rejected.
@@ -72,7 +80,6 @@ fn main() -> ExitCode {
         "sweep" => cmd_sweep(rest, false),
         "report" => cmd_sweep(rest, true),
         "fleet" => cmd_fleet(rest),
-        "bench" => cmd_bench(rest),
         "lint" => cmd_lint(rest),
         "--help" | "-h" => {
             print_usage();
@@ -112,20 +119,14 @@ fn print_usage() {
          [--replay-device <k>]\n                                \
          simulate a sampled device population on the work-stealing\n                                \
          scheduler; checkpoint/resume to byte-identical statistics\n  \
-         bench [--out <file.json>] [--iterations <n>] [--quick] [--no-sweep]\n        \
-         [--check <file.json> [--baseline <file.json>]]\n        \
-         [--compare <file.json> --baseline <file.json>]\n                                \
-         measure the metering cost at the paper's five pixel\n                                \
-         budgets and write BENCH_PR7.json; --check validates an\n                                \
-         existing report (plus the speedup gate when --baseline\n                                \
-         is given); --compare prints a baseline-vs-new delta table\n  \
          lint [--json] [--fix-baseline] [--stats]\n                                \
          run the workspace static-analysis pass (DESIGN.md \u{a7}10);\n                                \
          --json emits obs-envelope JSON lines, --fix-baseline\n                                \
          rewrites lint.allow to the current findings, --stats\n                                \
          prints per-family counts, call-graph size and wall time\n\n\
          every command accepts --quiet/-q to silence progress output\n\n\
-         see also: cargo run --release --example paper_report -- all"
+         see also: cargo run --release --example paper_report -- all\n\
+         performance: the benchmark command in BENCHMARK.json (perfbench/NOTES.md)"
     );
 }
 
@@ -584,125 +585,6 @@ fn cmd_fleet(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
         progress!("wrote {} JSONL events to {out}", sink.lines_written());
-    }
-    ExitCode::SUCCESS
-}
-
-fn cmd_bench(args: &[String]) -> ExitCode {
-    let flags = parse_or_fail!(
-        args,
-        &["--out", "--iterations", "--check", "--compare", "--baseline"],
-        &["--quick", "--no-sweep"]
-    );
-
-    let read = |path: &str| match std::fs::read_to_string(path) {
-        Ok(document) => Some(document),
-        Err(e) => {
-            eprintln!("failed to read {path}: {e}");
-            None
-        }
-    };
-
-    // --compare prints a baseline-vs-new delta table; no gate.
-    if let Some(path) = flags.value("--compare") {
-        let Some(baseline_path) = flags.value("--baseline") else {
-            eprintln!("--compare requires --baseline <file.json>");
-            return ExitCode::FAILURE;
-        };
-        let (Some(new), Some(baseline)) = (read(path), read(baseline_path)) else {
-            return ExitCode::FAILURE;
-        };
-        return match ccdem::experiments::perfcmp::compare(&new, &baseline) {
-            Ok(comparison) => {
-                println!("{comparison}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    // --check validates an existing report instead of measuring; with
-    // --baseline it additionally enforces the PR 5 speedup gate.
-    if let Some(path) = flags.value("--check") {
-        let Some(document) = read(path) else {
-            return ExitCode::FAILURE;
-        };
-        if let Some(baseline_path) = flags.value("--baseline") {
-            let Some(baseline) = read(baseline_path) else {
-                return ExitCode::FAILURE;
-            };
-            return match ccdem::experiments::perfcmp::check(&document, &baseline) {
-                Ok(comparison) => {
-                    println!("{comparison}");
-                    println!("{path}: speedup gate passed against {baseline_path}");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("{path}: {e}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        return match ccdem::experiments::perf::validate(&document) {
-            Ok(()) => {
-                println!("{path}: valid benchmark report");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    let mut config = if flags.switch("--quick") {
-        ccdem::experiments::perf::PerfConfig::quick()
-    } else {
-        ccdem::experiments::perf::PerfConfig::default()
-    };
-    if let Some(value) = flags.value("--iterations") {
-        match value.parse::<u32>() {
-            Ok(frames) if frames > 0 => config.frames = frames,
-            _ => {
-                eprintln!("--iterations must be a positive integer");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if flags.switch("--no-sweep") {
-        config.sweep_secs = 0;
-    }
-
-    progress!(
-        "benchmarking the metering fast path ({} frames per case{})…",
-        config.frames,
-        if config.sweep_secs > 0 {
-            ", plus the 30 s sweep"
-        } else {
-            ""
-        }
-    );
-    let report = ccdem::experiments::perf::run(&config);
-    println!("{report}");
-    if config.sweep_secs > 0 {
-        // Scratch-reuse readout: same batch fresh vs reused (console
-        // only; the JSON schema carries the budget/case table).
-        println!("{}", ccdem::experiments::perf_sweep::run(8, 5));
-    }
-    if let Some(path) = flags.value("--out") {
-        let document = report.to_json();
-        if let Err(e) = ccdem::experiments::perf::validate(&document) {
-            eprintln!("internal error: generated report fails validation: {e}");
-            return ExitCode::FAILURE;
-        }
-        if let Err(e) = std::fs::write(path, document + "\n") {
-            eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        progress!("wrote {path}");
     }
     ExitCode::SUCCESS
 }
