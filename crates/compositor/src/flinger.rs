@@ -136,10 +136,11 @@ impl SurfaceFlinger {
         pool
     }
 
-    /// Forces every composition to recompose the full screen, disabling
-    /// the damage-limited incremental path. The pixel output is identical
-    /// either way; this exists so equivalence tests and benchmarks can run
-    /// the pre-optimisation reference behaviour.
+    /// Forces every composition to recompose the full screen by copying,
+    /// disabling the damage-limited incremental path and storage sharing.
+    /// The pixel output is identical either way; this exists so
+    /// equivalence tests and benchmarks can run the pre-optimisation
+    /// reference behaviour.
     pub fn set_naive_compose(&mut self, naive: bool) {
         self.naive_compose = naive;
     }
@@ -310,8 +311,15 @@ impl SurfaceFlinger {
             self.framebuffer.touch();
             return;
         }
+        // Direct scanout: a sole surface that copies over the whole screen
+        // lends its storage to the framebuffer instead of being copied
+        // (`FrameBuffer::share_from`). With more layers the framebuffer
+        // is written again after the copy, which would detach it at the
+        // price of the copy sharing saved, so stacks keep copying; so
+        // does the naive reference compose.
+        let sole = self.order_scratch.len() == 1 && !self.naive_compose;
         for &(_, i) in &self.order_scratch {
-            let Some(surface) = self.surfaces.get(i) else {
+            let Some(surface) = self.surfaces.get_mut(i) else {
                 continue;
             };
             let bounds = surface.bounds();
@@ -321,7 +329,11 @@ impl SurfaceFlinger {
                 };
                 if surface.is_opaque() {
                     if r == self.resolution.bounds() {
-                        self.framebuffer.copy_from(surface.buffer());
+                        if sole {
+                            self.framebuffer.share_from(surface.buffer_mut());
+                        } else {
+                            self.framebuffer.copy_from(surface.buffer());
+                        }
                     } else {
                         self.framebuffer.copy_rect_from(surface.buffer(), r);
                     }
@@ -634,6 +646,68 @@ mod tests {
         assert_eq!(tiles.tile(1, 1).solid, Some(Pixel::grey(55)));
         assert_eq!(tiles.tile(1, 0).solid, Some(Pixel::grey(30)));
         assert_eq!(tiles.tile(0, 0).solid, None);
+    }
+
+    /// Submits a full redraw of `id` in `colour` and composes it.
+    fn redraw_and_compose(sf: &mut SurfaceFlinger, id: SurfaceId, frame: u64, colour: Pixel) {
+        sf.surface_mut(id).unwrap().buffer_mut().fill(colour);
+        sf.submit(id, SimTime::from_millis(frame * 16), true)
+            .unwrap();
+        sf.compose(SimTime::from_millis(frame * 16 + 8));
+    }
+
+    #[test]
+    fn two_surface_stack_never_shares() {
+        use ccdem_pixelbuf::geometry::Rect;
+        let mut sf = SurfaceFlinger::new(Resolution::new(8, 8));
+        let app = sf.create_surface("app");
+        let bar = sf.create_surface("status bar");
+        {
+            let s = sf.surface_mut(bar).unwrap();
+            s.set_z_order(1);
+            s.set_bounds(Rect::new(0, 0, 8, 1));
+            s.buffer_mut().fill(Pixel::WHITE);
+        }
+        let fb_storage = sf.framebuffer().as_pixels().as_ptr();
+        for frame in 0..20u64 {
+            redraw_and_compose(&mut sf, app, frame, Pixel::grey(frame as u8));
+            let fb = sf.framebuffer().as_pixels().as_ptr();
+            assert_eq!(fb, fb_storage, "the framebuffer keeps its own storage");
+            for id in [app, bar] {
+                assert_ne!(fb, sf.surface(id).unwrap().buffer().as_pixels().as_ptr());
+            }
+        }
+        assert_eq!(sf.framebuffer().pixel(3, 0), Pixel::WHITE);
+        assert_eq!(sf.framebuffer().pixel(3, 5), Pixel::grey(19));
+    }
+
+    #[test]
+    fn shared_storage_recycles_into_a_balanced_pool() {
+        // Every run hands back exactly the buffers it took, whichever of
+        // framebuffer and surface holds the shared storage at the end.
+        use ccdem_pixelbuf::geometry::Rect;
+        let res = Resolution::new(16, 16);
+        let mut pool = PixelPool::new();
+        let mut lens = Vec::new();
+        for run in 0..3u64 {
+            let mut sf = SurfaceFlinger::with_pool(res, pool);
+            let id = sf.create_surface("app");
+            for frame in 0..(10 + run) {
+                redraw_and_compose(&mut sf, id, frame, Pixel::grey(7));
+                let buffer = sf.surface_mut(id).unwrap().buffer_mut();
+                if frame % 3 == 0 {
+                    buffer.fill_rect(Rect::new(2, 2, 3, 3), Pixel::WHITE);
+                } else {
+                    buffer.scroll_up(2, Pixel::BLACK);
+                }
+                sf.submit(id, SimTime::from_millis(frame * 16 + 9), true)
+                    .unwrap();
+                sf.compose(SimTime::from_millis(frame * 16 + 12));
+            }
+            pool = sf.into_pool();
+            lens.push(pool.len());
+        }
+        assert_eq!(lens, vec![2, 2, 2]);
     }
 
     #[test]

@@ -498,10 +498,16 @@ impl ContentRateMeter {
     }
 }
 
-/// Wall-clock cost of one fused meter step (compare and snapshot capture
-/// in a single gather) — the quantity on Fig. 6's right axis. Runs
-/// `iterations` steps against `framebuffer` and returns the mean duration
-/// of one.
+/// Wall-clock cost of one production meter step — the tile-gated,
+/// damage-restricted gather ([`GridSampler::compare_and_capture_tiled`])
+/// that [`ContentRateMeter`] runs on every framebuffer update — the
+/// quantity on Fig. 6's right axis. Runs `iterations` steps and returns
+/// the mean duration of one.
+///
+/// Each step is the gather's worst case: the steps alternate between two
+/// copies of `framebuffer` that differ at every grid point and hold no
+/// provably solid tile, under full-screen damage, so every step descends
+/// every tile and reads the whole grid.
 ///
 /// This measures *host* time, not simulated time: the paper's claim is
 /// about the real computational cost of metering at different pixel
@@ -516,18 +522,39 @@ pub fn measure_metering_cost(
     iterations: u32,
 ) -> std::time::Duration {
     assert!(iterations > 0, "iterations must be non-zero");
+    let frames = cost_probe_frames(sampler, framebuffer);
+    let damage = DamageRegion::of(framebuffer.resolution().bounds());
     // Prime outside the timed loop, through the non-allocating gather —
     // `GridSampler::sample` allocates per call and is not for hot paths.
+    let [_, last] = &frames;
     let mut snapshot = Vec::new();
-    sampler.sample_into(framebuffer, &mut snapshot);
+    sampler.sample_into(last, &mut snapshot);
     // ccdem-lint: allow(determinism) — Fig. 6 cost probe; host time is its output
     let start = std::time::Instant::now();
-    for _ in 0..iterations {
-        // One full meter step: compare and re-capture, fused.
-        let result = sampler.compare_and_capture(framebuffer, &mut snapshot);
-        std::hint::black_box(result.differs);
+    for frame in frames.iter().cycle().take(iterations as usize) {
+        // Last content generation 0: every written tile descends.
+        let result = sampler.compare_and_capture_tiled(frame, &damage, 0, &mut snapshot);
+        std::hint::black_box(result.grid.differs);
     }
     start.elapsed() / iterations
+}
+
+/// The two frames [`measure_metering_cost`] alternates between: copies
+/// of `framebuffer` whose grid points have the red channel moved by 64
+/// and by 128 levels. The two frames differ at every grid point, even
+/// after RGB565 quantisation, and each write differs from any solid
+/// colour its tile had, so no tile holding a grid point stays provably
+/// solid.
+fn cost_probe_frames(sampler: &GridSampler, framebuffer: &FrameBuffer) -> [FrameBuffer; 2] {
+    let mut frames = [framebuffer.clone(), framebuffer.clone()];
+    for (frame, shift) in frames.iter_mut().zip([64u8, 128]) {
+        for (x, y) in sampler.positions() {
+            let p = framebuffer.pixel(x, y);
+            let moved = Pixel::rgba(p.red().wrapping_add(shift), p.green(), p.blue(), p.alpha());
+            frame.set_pixel(x, y, moved);
+        }
+    }
+    frames
 }
 
 #[cfg(test)]
@@ -736,6 +763,30 @@ mod tests {
         }
         assert!(fast.points_read() < naive.points_read() / 2);
         assert!(fast.fast_path_frames() > 0);
+    }
+
+    #[test]
+    fn metering_cost_probe_reads_the_whole_grid() {
+        // The probe's frames make every timed step the gather's worst
+        // case, starting from a frame of solid tiles.
+        let res = Resolution::new(200, 130); // uneven edge tiles
+        let mut fb = FrameBuffer::new(res);
+        fb.fill(Pixel::grey(90));
+        for budget in [16, 500, res.pixel_count()] {
+            let sampler = GridSampler::for_pixel_budget(res, budget);
+            let n = sampler.sample_count();
+            let frames = cost_probe_frames(&sampler, &fb);
+            let damage = DamageRegion::of(res.bounds());
+            let mut snapshot = Vec::new();
+            sampler.sample_into(&frames[1], &mut snapshot);
+            for frame in frames.iter().cycle().take(4) {
+                let before = snapshot.clone();
+                let step = sampler.compare_and_capture_tiled(frame, &damage, 0, &mut snapshot);
+                assert!(step.grid.differs);
+                assert_eq!(step.grid.points_read, n, "budget {budget}");
+                assert!(before.iter().zip(&snapshot).all(|(a, b)| a != b));
+            }
+        }
     }
 
     #[test]

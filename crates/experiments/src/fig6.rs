@@ -108,7 +108,7 @@ fn run_budget(config: &Fig6Config, resolution: Resolution, budget: usize) -> Bud
     let measured = meter.meaningful_frames().count();
     let error_pct = (config.frames - measured) as f64 / config.frames as f64 * 100.0;
 
-    // --- Cost: wall-clock time of one compare+capture step.
+    // --- Cost: wall-clock time of one production (tiled) gather step.
     let duration = measure_metering_cost(&sampler, &fb, config.timing_iterations);
 
     BudgetPoint {

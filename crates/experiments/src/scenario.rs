@@ -788,6 +788,35 @@ mod tests {
     }
 
     #[test]
+    fn single_surface_runs_keep_the_scratch_pool_steady() {
+        // A sole full-screen surface shares its storage with the
+        // framebuffer, and both allocations ping-pong between them. The
+        // run must still hand back exactly what it took, or every run
+        // would leave one more full-screen buffer in the pool.
+        let workloads = [
+            Workload::App(catalog::facebook()),
+            Workload::App(catalog::jelly_splash()),
+            Workload::Wallpaper(DotsConfig::default()),
+        ];
+        for workload in workloads {
+            let scenario = Scenario::new(workload, Policy::SectionWithBoost)
+                .at_quarter_resolution()
+                .with_duration(SimDuration::from_secs(4))
+                .with_seed(5);
+            let mut scratch = RunScratch::new();
+            let lens: Vec<usize> = (0..3)
+                .map(|_| {
+                    scenario.run_with_scratch(&mut scratch);
+                    scratch.pooled_buffers()
+                })
+                .collect();
+            assert!(lens[0] > 0, "nothing was recycled");
+            assert_eq!(lens[1], lens[2], "pool grew between runs 2 and 3: {lens:?}");
+            assert_eq!(lens[0], lens[1], "pool grew between runs 1 and 2: {lens:?}");
+        }
+    }
+
+    #[test]
     fn workload_identical_across_policies() {
         // The methodological cornerstone: same seed ⇒ same touch script
         // and same app content stream, regardless of policy.

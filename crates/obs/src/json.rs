@@ -193,7 +193,8 @@ impl std::fmt::Display for Json {
 /// # Errors
 ///
 /// Returns a human-readable description of the first syntax error,
-/// including trailing non-whitespace after the document.
+/// including trailing non-whitespace after the document, or of arrays
+/// and objects nested more than 128 levels deep.
 ///
 /// # Examples
 ///
@@ -208,6 +209,7 @@ pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -218,9 +220,17 @@ pub fn parse(input: &str) -> Result<Json, String> {
     Ok(value)
 }
 
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so an unbounded depth lets a hostile document (a file of
+/// `[`s) overflow the stack; the documents this crate writes nest fewer
+/// than 10 levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -258,8 +268,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth >= MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let nested = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -472,6 +496,24 @@ mod tests {
         let mut out = String::new();
         write_json(&mut out, &Json::Arr(vec![Json::Num(f64::NAN), Json::Num(f64::INFINITY)]));
         assert_eq!(out, "[null,null]");
+    }
+
+    #[test]
+    fn parser_bounds_nesting_depth() {
+        let nest = |open: &str, close: &str, levels: usize| {
+            format!("{}1{}", open.repeat(levels), close.repeat(levels))
+        };
+        assert!(parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nest(r#"{"a":"#, "}", MAX_DEPTH)).is_ok());
+        for doc in [
+            nest("[", "]", MAX_DEPTH + 1),
+            nest(r#"{"a":"#, "}", MAX_DEPTH + 1),
+            "[".repeat(200_000),
+            r#"{"a":"#.repeat(200_000),
+        ] {
+            let err = parse(&doc).unwrap_err();
+            assert!(err.contains("nesting deeper than 128"), "{err}");
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! The software framebuffer.
 
+use std::sync::Arc;
+
 use crate::damage::DamageRegion;
 use crate::geometry::{Rect, Resolution};
 use crate::pixel::{Pixel, PixelFormat};
@@ -27,6 +29,23 @@ use crate::tile::TileMap;
 /// colour) inside the same row walks — see [`tiles`](Self::tiles) and
 /// the [`tile`](crate::tile) module.
 ///
+/// # Shared storage
+///
+/// Pixel storage is copy-on-write. [`clone`](Clone::clone) and
+/// [`share_from`](Self::share_from) make two buffers hold the same
+/// allocation without copying a pixel; the first write on either side
+/// detaches that side onto storage of its own, so a write on one buffer
+/// is never visible through the other. Detaching costs at most one copy
+/// of the shared pixels: none for whole-buffer overwrites
+/// ([`fill`](Self::fill), a same-format [`copy_from`](Self::copy_from)),
+/// one shifted copy for [`scroll_up`](Self::scroll_up), and one plain
+/// copy before every other write. A buffer keeps one *spare*
+/// allocation to detach into, which [`share_from`](Self::share_from)
+/// refills, so a compositor that shares a surface's storage every frame
+/// ping-pongs two allocations and allocates nothing. Sharing is not
+/// observable: equality, pixels, generations, damage and tile
+/// signatures behave exactly as if every share were a deep copy.
+///
 /// # Examples
 ///
 /// ```
@@ -43,11 +62,15 @@ use crate::tile::TileMap;
 /// assert_eq!(fb.generation(), 2);
 /// assert_eq!(fb.content_generation(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct FrameBuffer {
     resolution: Resolution,
     format: PixelFormat,
-    pixels: Vec<Pixel>,
+    /// Copy-on-write pixel storage, possibly shared with other buffers.
+    pixels: Arc<Vec<Pixel>>,
+    /// A uniquely held allocation to detach into when a write finds
+    /// `pixels` shared. Its contents are stale and never observable.
+    spare: Option<Arc<Vec<Pixel>>>,
     generation: u64,
     content_generation: u64,
     damage: DamageRegion,
@@ -65,7 +88,8 @@ impl FrameBuffer {
         FrameBuffer {
             resolution,
             format,
-            pixels: vec![Pixel::BLACK; resolution.pixel_count()],
+            pixels: Arc::new(vec![Pixel::BLACK; resolution.pixel_count()]),
+            spare: None,
             generation: 0,
             content_generation: 0,
             damage: DamageRegion::new(),
@@ -78,14 +102,15 @@ impl FrameBuffer {
     /// pixels, both generations zero, empty damage), but the storage's
     /// allocation is reused. This is the steady-state path of scratch
     /// reuse across sweep runs — pair it with
-    /// [`into_storage`](Self::into_storage).
+    /// [`into_storages`](Self::into_storages).
     pub fn recycled(resolution: Resolution, mut storage: Vec<Pixel>) -> FrameBuffer {
         storage.clear();
         storage.resize(resolution.pixel_count(), Pixel::BLACK);
         FrameBuffer {
             resolution,
             format: PixelFormat::Rgba8888,
-            pixels: storage,
+            pixels: Arc::new(storage),
+            spare: None,
             generation: 0,
             content_generation: 0,
             damage: DamageRegion::new(),
@@ -93,10 +118,16 @@ impl FrameBuffer {
         }
     }
 
-    /// Consumes the buffer, handing its pixel storage back for recycling
-    /// (see [`recycled`](Self::recycled)).
-    pub fn into_storage(self) -> Vec<Pixel> {
-        self.pixels
+    /// Consumes the buffer, handing back for recycling (see
+    /// [`recycled`](Self::recycled)) every allocation it holds alone: its
+    /// pixel storage, unless another buffer still shares it (the last
+    /// holder hands it back), and its detach spare. Recycling every
+    /// buffer that shared storage therefore returns exactly the
+    /// allocations they were built from plus any they allocated.
+    pub fn into_storages(self) -> impl Iterator<Item = Vec<Pixel>> {
+        let pixels = Arc::try_unwrap(self.pixels).ok();
+        let spare = self.spare.and_then(|s| Arc::try_unwrap(s).ok());
+        pixels.into_iter().chain(spare)
     }
 
     /// The buffer's resolution.
@@ -186,7 +217,7 @@ impl FrameBuffer {
         );
         let i = self.index(x, y);
         let q = self.format.quantize(p);
-        if let Some(slot) = self.pixels.get_mut(i) {
+        if let Some(slot) = self.pixels_mut(Detach::Copy).get_mut(i) {
             *slot = q;
         }
         self.mark(Rect::new(x, y, 1, 1), Some(q));
@@ -195,7 +226,7 @@ impl FrameBuffer {
     /// Fills the whole buffer with one colour.
     pub fn fill(&mut self, p: Pixel) {
         let q = self.format.quantize(p);
-        self.pixels.fill(q);
+        self.pixels_mut(Detach::Overwrite).fill(q);
         self.mark(self.resolution.bounds(), Some(q));
     }
 
@@ -206,9 +237,11 @@ impl FrameBuffer {
         let q = self.format.quantize(p);
         let clipped = rect.clipped_to(self.resolution);
         if let Some(r) = clipped {
+            let width = self.resolution.width as usize;
+            let pixels = self.pixels_mut(Detach::Copy);
             for y in r.y..r.bottom() {
-                let row = self.index(r.x, y);
-                if let Some(seg) = self.pixels.get_mut(row..row + r.width as usize) {
+                let row = y as usize * width + r.x as usize;
+                if let Some(seg) = pixels.get_mut(row..row + r.width as usize) {
                     seg.fill(q);
                 }
             }
@@ -226,11 +259,57 @@ impl FrameBuffer {
             self.resolution, src.resolution,
             "copy_from requires matching resolutions"
         );
-        if self.format == src.format {
-            self.pixels.copy_from_slice(&src.pixels);
+        let format = self.format;
+        if format == src.format {
+            // Buffers sharing storage already hold identical pixels.
+            if !Arc::ptr_eq(&self.pixels, &src.pixels) {
+                self.pixels_mut(Detach::Overwrite)
+                    .copy_from_slice(&src.pixels);
+            }
         } else {
-            for (dst, &s) in self.pixels.iter_mut().zip(&src.pixels) {
-                *dst = self.format.quantize(s);
+            for (dst, &s) in self
+                .pixels_mut(Detach::Overwrite)
+                .iter_mut()
+                .zip(src.pixels.iter())
+            {
+                *dst = format.quantize(s);
+            }
+        }
+        self.mark_copied(self.resolution.bounds(), src);
+    }
+
+    /// Makes this buffer an exact copy of `src` without copying pixels:
+    /// the buffer adopts `src`'s storage (shared copy-on-write, see the
+    /// type docs) and hands its own old storage to `src` as the spare
+    /// `src` detaches into on its next write. Observably identical to
+    /// [`copy_from`](Self::copy_from) — pixels, generations, damage and
+    /// tile signatures — and `src` is observably unchanged. When the
+    /// formats differ the pixels need quantizing, so this falls back to
+    /// [`copy_from`](Self::copy_from).
+    ///
+    /// This is the compositor's direct-scanout path: a sole opaque
+    /// full-screen surface lends its buffer to the framebuffer, and the
+    /// two allocations swap roles every frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if resolutions differ.
+    pub fn share_from(&mut self, src: &mut FrameBuffer) {
+        assert_eq!(
+            self.resolution, src.resolution,
+            "share_from requires matching resolutions"
+        );
+        if self.format != src.format {
+            self.copy_from(src);
+            return;
+        }
+        if !Arc::ptr_eq(&self.pixels, &src.pixels) {
+            let mut old = std::mem::replace(&mut self.pixels, Arc::clone(&src.pixels));
+            // Only storage no other buffer can still read may become a
+            // spare; a spare it displaces from `src` stays with us.
+            if Arc::get_mut(&mut old).is_some() {
+                let displaced = src.spare.replace(old);
+                self.spare = self.spare.take().or(displaced);
             }
         }
         self.mark_copied(self.resolution.bounds(), src);
@@ -250,13 +329,14 @@ impl FrameBuffer {
         if let Some(r) = clipped {
             let convert = self.format != src.format;
             let format = self.format;
+            let width = self.resolution.width as usize;
             let w = r.width as usize;
+            let pixels = self.pixels_mut(Detach::Copy);
             for y in r.y..r.bottom() {
-                let i = self.index(r.x, y);
+                let i = y as usize * width + r.x as usize;
                 // Clipping keeps `i..i + w` inside both buffers (the
                 // resolutions match), so the lookups never miss.
-                let (Some(dst), Some(from)) =
-                    (self.pixels.get_mut(i..i + w), src.pixels.get(i..i + w))
+                let (Some(dst), Some(from)) = (pixels.get_mut(i..i + w), src.pixels.get(i..i + w))
                 else {
                     continue;
                 };
@@ -289,12 +369,13 @@ impl FrameBuffer {
         let clipped = rect.clipped_to(self.resolution);
         if let Some(r) = clipped {
             let format = self.format;
+            let width = self.resolution.width as usize;
             let w = r.width as usize;
+            let pixels = self.pixels_mut(Detach::Copy);
             for y in r.y..r.bottom() {
-                let i = self.index(r.x, y);
+                let i = y as usize * width + r.x as usize;
                 // Same bound as copy_rect_from: clipped to both buffers.
-                let (Some(dst), Some(from)) =
-                    (self.pixels.get_mut(i..i + w), src.pixels.get(i..i + w))
+                let (Some(dst), Some(from)) = (pixels.get_mut(i..i + w), src.pixels.get(i..i + w))
                 else {
                     continue;
                 };
@@ -314,14 +395,17 @@ impl FrameBuffer {
         let h = self.resolution.height;
         let w = self.resolution.width as usize;
         let dy = dy.min(h);
-        if dy > 0 && dy < h {
-            let shift = dy as usize * w;
-            self.pixels.copy_within(shift.., 0);
-        }
         let q = self.format.quantize(fill);
-        let start = ((h - dy) as usize) * w;
-        if let Some(seg) = self.pixels.get_mut(start..) {
-            seg.fill(q);
+        if dy > 0 {
+            let detach = if dy < h {
+                Detach::Shift(dy as usize * w)
+            } else {
+                Detach::Overwrite
+            };
+            let start = ((h - dy) as usize) * w;
+            if let Some(seg) = self.pixels_mut(detach).get_mut(start..) {
+                seg.fill(q);
+            }
         }
         if dy >= h {
             // The whole screen is the fill colour: a provably solid write.
@@ -351,6 +435,57 @@ impl FrameBuffer {
 
     fn index(&self, x: u32, y: u32) -> usize {
         (y as usize) * (self.resolution.width as usize) + x as usize
+    }
+
+    /// Mutable access to the pixels for a write, detaching from shared
+    /// storage first (see the type docs). `detach` says what the write
+    /// needs of the old pixels; with [`Detach::Shift`] the rows come back
+    /// already moved up, shared or not.
+    fn pixels_mut(&mut self, detach: Detach) -> &mut [Pixel] {
+        match Arc::get_mut(&mut self.pixels) {
+            Some(own) => {
+                if let Detach::Shift(shift) = detach {
+                    if shift < own.len() {
+                        own.copy_within(shift.., 0);
+                    }
+                }
+            }
+            None => self.detach(detach),
+        }
+        Arc::get_mut(&mut self.pixels).map_or(&mut [], |v| v.as_mut_slice())
+    }
+
+    /// Moves a buffer whose storage is shared onto storage of its own,
+    /// prepared as `detach` asks. It detaches into the spare, so the only
+    /// allocation is the fallback for a buffer that has none.
+    fn detach(&mut self, detach: Detach) {
+        let n = self.resolution.pixel_count();
+        // No `Weak` is ever made, so a strong count of one means the
+        // spare is held by nobody else.
+        let mut own = match self.spare.take() {
+            Some(spare) if Arc::strong_count(&spare) == 1 => spare,
+            // ccdem-lint: allow(alloc-hot-path) — no-spare fallback for
+            // a buffer written while shared with nothing to detach into.
+            // The compositor never reaches it in steady state: its sole
+            // surface detaches into the spare every share hands it, and
+            // nothing writes the framebuffer while it is shared.
+            _ => Arc::new(Vec::with_capacity(n)),
+        };
+        if let Some(v) = Arc::get_mut(&mut own) {
+            match detach {
+                Detach::Overwrite => {}
+                Detach::Shift(shift) => {
+                    v.clear();
+                    v.extend_from_slice(self.pixels.get(shift..).unwrap_or_default());
+                }
+                Detach::Copy => {
+                    v.clear();
+                    v.extend_from_slice(&self.pixels);
+                }
+            }
+            v.resize(n, Pixel::BLACK);
+        }
+        self.pixels = own;
     }
 
     /// Records one completed write batch: the write generation always
@@ -389,6 +524,49 @@ impl FrameBuffer {
                 });
         }
     }
+}
+
+impl Clone for FrameBuffer {
+    /// A cheap clone: the copy shares this buffer's pixel storage
+    /// copy-on-write (see the type docs) and starts without a spare.
+    fn clone(&self) -> FrameBuffer {
+        FrameBuffer {
+            resolution: self.resolution,
+            format: self.format,
+            pixels: Arc::clone(&self.pixels),
+            spare: None,
+            generation: self.generation,
+            content_generation: self.content_generation,
+            damage: self.damage,
+            tiles: self.tiles.clone(),
+        }
+    }
+}
+
+impl PartialEq for FrameBuffer {
+    /// Compares observable state; the detach spare is not part of it.
+    fn eq(&self, other: &FrameBuffer) -> bool {
+        self.resolution == other.resolution
+            && self.format == other.format
+            && self.generation == other.generation
+            && self.content_generation == other.content_generation
+            && self.damage == other.damage
+            && self.tiles == other.tiles
+            && self.pixels == other.pixels
+    }
+}
+
+/// What a write needs of a buffer's old pixels when it detaches from
+/// shared storage.
+#[derive(Debug, Clone, Copy)]
+enum Detach {
+    /// Nothing: the write overwrites every pixel.
+    Overwrite,
+    /// The pixels moved up by this many (a scroll); the vacated tail is
+    /// overwritten.
+    Shift(usize),
+    /// All of them: the write touches only some pixels.
+    Copy,
 }
 
 #[cfg(test)]
@@ -555,13 +733,16 @@ mod tests {
         let mut used = FrameBuffer::new(res);
         used.fill(Pixel::WHITE);
         used.set_pixel(1, 1, Pixel::grey(3));
-        let storage = used.into_storage();
+        let storage = used.into_storages().next().unwrap();
         let ptr = storage.as_ptr();
         let recycled = FrameBuffer::recycled(res, storage);
         assert_eq!(recycled, FrameBuffer::new(res));
         assert_eq!(recycled.as_pixels().as_ptr(), ptr, "allocation reused");
         // A smaller target resolution also reuses the allocation.
-        let shrunk = FrameBuffer::recycled(Resolution::new(2, 2), recycled.into_storage());
+        let shrunk = FrameBuffer::recycled(
+            Resolution::new(2, 2),
+            recycled.into_storages().next().unwrap(),
+        );
         assert_eq!(shrunk, FrameBuffer::new(Resolution::new(2, 2)));
     }
 

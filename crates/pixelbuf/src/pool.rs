@@ -64,9 +64,13 @@ impl PixelPool {
         FrameBuffer::recycled(resolution, self.take())
     }
 
-    /// Recycles a framebuffer's storage back into the pool.
+    /// Recycles a framebuffer's storage back into the pool: its pixels
+    /// (unless another buffer still shares them) and its detach spare
+    /// (see [`FrameBuffer::into_storages`]).
     pub fn give_framebuffer(&mut self, buffer: FrameBuffer) {
-        self.give(buffer.into_storage());
+        for storage in buffer.into_storages() {
+            self.give(storage);
+        }
     }
 
     /// Number of buffers currently pooled.

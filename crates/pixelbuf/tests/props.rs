@@ -90,6 +90,40 @@ fn apply_tile_op(op: TileOp, fb: &mut FrameBuffer, src: &FrameBuffer) {
     }
 }
 
+/// One step of the copy-on-write isolation property: a [`TileOp`] on
+/// one of two buffers (blits read the other), or a `share_from` between
+/// them in either direction.
+#[derive(Debug, Clone, Copy)]
+enum CowOp {
+    OnA(TileOp),
+    OnB(TileOp),
+    ShareIntoA,
+    ShareIntoB,
+}
+
+fn arb_cow_op() -> impl Strategy<Value = CowOp> {
+    prop_oneof![
+        arb_tile_op().prop_map(CowOp::OnA),
+        arb_tile_op().prop_map(CowOp::OnB),
+        Just(CowOp::ShareIntoA),
+        Just(CowOp::ShareIntoB),
+    ]
+}
+
+/// Applies `op` to `(a, b)`. With `deep`, shares become `copy_from`
+/// deep copies — the model the sharing buffers must be
+/// indistinguishable from.
+fn apply_cow_op(op: CowOp, a: &mut FrameBuffer, b: &mut FrameBuffer, deep: bool) {
+    match op {
+        CowOp::OnA(op) => apply_tile_op(op, a, b),
+        CowOp::OnB(op) => apply_tile_op(op, b, a),
+        CowOp::ShareIntoA if deep => a.copy_from(b),
+        CowOp::ShareIntoA => a.share_from(b),
+        CowOp::ShareIntoB if deep => b.copy_from(a),
+        CowOp::ShareIntoB => b.share_from(a),
+    }
+}
+
 /// Assert the [`DamageRegion`] representation invariants: at most
 /// [`MAX_DAMAGE_RECTS`] rects, none empty, and all pairwise disjoint
 /// (the cascading re-merge in `add` must have reached a fixpoint).
@@ -342,6 +376,38 @@ proptest! {
             prop_assert!(tiled.grid.points_read <= reference.points_read);
             prop_assert!(tiled.tiles_descended <= tiled.tiles_checked);
             lcg = fb.content_generation();
+        }
+    }
+
+    /// Copy-on-write isolation: two buffers that share storage back and
+    /// forth through `share_from`, interleaved with every write entry
+    /// point on either side, stay indistinguishable from a model that
+    /// deep-copies with `copy_from` instead — pixels, tile signatures,
+    /// damage and both generations, on both sides, after every step. A
+    /// write on one side never leaks into the other.
+    #[test]
+    fn shared_storage_is_isolated_like_a_deep_copy(
+        w in 1u32..80,
+        h in 1u32..80,
+        b_565 in any::<bool>(),
+        ops in proptest::collection::vec(arb_cow_op(), 1..40),
+    ) {
+        let res = Resolution::new(w, h);
+        let b_format = if b_565 { PixelFormat::Rgb565 } else { PixelFormat::Rgba8888 };
+        let (mut a, mut b) = (FrameBuffer::new(res), FrameBuffer::with_format(res, b_format));
+        let (mut model_a, mut model_b) =
+            (FrameBuffer::new(res), FrameBuffer::with_format(res, b_format));
+
+        for (step, &op) in ops.iter().enumerate() {
+            apply_cow_op(op, &mut a, &mut b, false);
+            apply_cow_op(op, &mut model_a, &mut model_b, true);
+            for (side, real, model) in [("a", &a, &model_a), ("b", &b, &model_b)] {
+                prop_assert!(real.as_pixels() == model.as_pixels(), "{side} pixels at step {step} ({op:?})");
+                prop_assert!(real.tiles() == model.tiles(), "{side} tiles at step {step} ({op:?})");
+                prop_assert_eq!(real.damage(), model.damage());
+                prop_assert_eq!(real.generation(), model.generation());
+                prop_assert_eq!(real.content_generation(), model.content_generation());
+            }
         }
     }
 

@@ -49,11 +49,14 @@ cmp target/fleet_full.json target/fleet_resumed.json
 # Benchmark smoke: perfbench (the command in BENCHMARK.json) on every
 # workload, untraced and traced. Each run exits non-zero when a
 # workload's output differs from the committed perfbench/refs or when
-# the traced replica is not byte-identical to the scenario engine.
+# the traced replica is not byte-identical to the scenario engine. The
+# last run checks the held-out seed's committed references as well.
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload all --seconds 1 --trace 0
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload all --seconds 1 --trace 1
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload all --seed 20261017 --seconds 1 --trace 0
 # Workspace static analysis (hard gate): determinism, panic-policy,
 # alloc-hot-path, arith-cast, atomics-ordering, obs-taxonomy, and
 # section-table invariants — see DESIGN.md §10. `--stats` prints

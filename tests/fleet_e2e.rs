@@ -167,6 +167,29 @@ fn killed_at_checkpoint_then_resumed_matches_uninterrupted_run() {
 }
 
 #[test]
+fn resume_from_deeply_nested_json_fails_with_a_message() {
+    // A hostile checkpoint must be an error exit, not a stack-overflow
+    // abort (SIGABRT, exit 134).
+    let checkpoint = temp("deep_nesting.json");
+    std::fs::write(&checkpoint, "[".repeat(200_000)).expect("write checkpoint");
+    let output = fleet(&["--resume", checkpoint.to_str().unwrap()]);
+    let _ = std::fs::remove_file(&checkpoint);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        output
+            .status
+            .code()
+            .is_some_and(|code| code != 0 && code != 134),
+        "expected an error exit, got {}: {stderr}",
+        output.status
+    );
+    assert!(
+        stderr.contains("nesting deeper than"),
+        "no message: {stderr}"
+    );
+}
+
+#[test]
 fn replay_device_prints_the_sampled_spec_and_its_metrics() {
     let output = fleet(&[
         "--devices", "32", "--duration", "1", "--seed", "11", "--replay-device", "7",
