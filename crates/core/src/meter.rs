@@ -35,9 +35,11 @@
 //! All paths maintain the same invariant — after every observation the
 //! snapshot equals the framebuffer at every grid point — so they produce
 //! bit-identical classifications and luminance estimates. The naive
-//! double-gather path is kept behind
-//! [`set_naive`](ContentRateMeter::set_naive) as the reference for
-//! equivalence tests and benchmarks.
+//! path behind [`set_naive`](ContentRateMeter::set_naive) is the
+//! reference for equivalence tests and the benchmark's oracle pass: it
+//! runs the scalar oracle [`GridSampler::compare`] over the whole screen
+//! and then re-captures the whole grid, ignoring generations, damage and
+//! tiles.
 //!
 //! Because the O(1) path keys on the content generation, one meter must
 //! observe one logical framebuffer: alternating a single meter between
@@ -207,11 +209,10 @@ impl ContentRateMeter {
         pool.give(self.naive_back);
     }
 
-    /// Switches the meter to the naive pre-optimisation path: a full grid
-    /// comparison followed by a second full gather into a ping-pong
-    /// snapshot, on every frame, ignoring generations and damage. The
-    /// classifications are identical to the fast paths'; this exists as
-    /// the reference behaviour for equivalence tests and benchmarks.
+    /// Switches the meter to the naive reference path (module docs): a
+    /// full-screen [`GridSampler::compare`], then a second full gather
+    /// into a ping-pong snapshot, on every frame. Classifications are
+    /// identical to the fast paths'.
     pub fn set_naive(&mut self, naive: bool) {
         self.naive = naive;
     }
@@ -247,8 +248,8 @@ impl ContentRateMeter {
     ///
     /// Without damage information the meter can still skip all pixel
     /// reads when the content generation is unchanged, and otherwise
-    /// falls back to one fused full-grid gather. When the caller knows
-    /// which pixels could have changed, prefer
+    /// runs the tile-gated gather over the whole screen. When the caller
+    /// knows which pixels could have changed, prefer
     /// [`observe_damaged`](Self::observe_damaged).
     ///
     /// # Panics
@@ -375,7 +376,7 @@ impl ContentRateMeter {
         class
     }
 
-    /// The pre-optimisation reference step: full compare, then a second
+    /// The reference step: full-screen oracle compare, then a second
     /// full gather into the ping-pong back buffer. Returns the same
     /// `(class, compared, read, fast, tiles_checked, tiles_descended)`
     /// tuple as the fast paths (the naive path never consults tiles).
@@ -388,7 +389,8 @@ impl ContentRateMeter {
             self.primed = true;
             (FrameClass::Meaningful, 0, 0)
         } else {
-            let compare = self.sampler.compare(framebuffer, &self.snapshot);
+            let screen = DamageRegion::of(self.sampler.resolution().bounds());
+            let compare = self.sampler.compare(framebuffer, &screen, &self.snapshot);
             let class = if compare.differs {
                 FrameClass::Meaningful
             } else {

@@ -220,8 +220,8 @@ impl Scenario {
 
     /// Disables (or re-enables) every damage-aware fast path: the
     /// compositor recomposes the full screen each frame and the meter
-    /// gathers the full grid twice per observed frame, exactly as before
-    /// the fused fast path existed. Results are bit-identical either
+    /// compares the full grid with the scalar oracle and then gathers it
+    /// again, on every observed frame. Results are bit-identical either
     /// way; this exists so equivalence tests and benchmarks can compare
     /// the two implementations.
     pub fn with_naive_metering(mut self, naive: bool) -> Scenario {

@@ -352,10 +352,10 @@ impl QuantileSketch {
             // to_json wrote; a hostile index is bounds-checked below.
             let index = index.as_f64()? as usize;
             let count = count.as_f64()? as u64; // ccdem-lint: allow(arith-cast) — see above
-            *sketch.buckets.get_mut(index)? += count;
-            // ccdem-lint: allow(arith-cast) — totals are verified
-            // against the serialized "count" member below.
-            sketch.count += count;
+            // Hostile counts can overflow either sum: reject, never wrap.
+            let bucket = sketch.buckets.get_mut(index)?;
+            *bucket = bucket.checked_add(count)?;
+            sketch.count = sketch.count.checked_add(count)?;
         }
         // ccdem-lint: allow(arith-cast) — comparison only; a mismatch
         // (including f64 truncation) rejects the document.
@@ -371,6 +371,10 @@ impl QuantileSketch {
             // extremes to_json wrote.
             sketch.min = doc.get("min")?.as_f64()? as u64;
             sketch.max = doc.get("max")?.as_f64()? as u64; // ccdem-lint: allow(arith-cast) — see min
+            // `quantile` clamps into [min, max], which must not be empty.
+            if sketch.min > sketch.max {
+                return None;
+            }
         }
         Some(sketch)
     }
@@ -675,6 +679,14 @@ mod tests {
             r#"{"precision":5,"count":1,"sum":0,"buckets":[]}"#, // count mismatch
             r#"{"precision":5,"count":0,"sum":0}"#,              // missing buckets
             r#"{"precision":5,"count":1,"sum":0,"buckets":[[999999,1]]}"#, // index range
+            // Bucket counts whose total overflows u64; the second wraps
+            // to exactly its "count".
+            r#"{"precision":5,"count":0,"sum":0,"buckets":[[0,1.8e19],[1,1.8e19]]}"#,
+            r#"{"precision":5,"count":1,"sum":0,"buckets":[[0,1.8446744073709552e19],[1,2]]}"#,
+            // One bucket listed twice overflows the bucket itself.
+            r#"{"precision":5,"count":0,"sum":0,"buckets":[[3,1.8e19],[3,1.8e19]]}"#,
+            // Extremes out of order would make `quantile` panic.
+            r#"{"precision":5,"count":1,"sum":0,"min":9,"max":1,"buckets":[[3,1]]}"#,
         ] {
             let doc = parse(bad).expect("test inputs are valid JSON");
             assert!(QuantileSketch::from_json(&doc).is_none(), "{bad} should be rejected");

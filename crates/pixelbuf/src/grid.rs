@@ -6,16 +6,14 @@
 //! grid laid over the screen and treats that pixel as representative of the
 //! cell.
 //!
-//! [`GridSampler`] stores the sample positions as a **row-run layout**
-//! rather than a flat index list: the column centres decompose into a few
-//! maximal equal-stride runs (exactly one when the width divides evenly by
-//! the column count, as it does for every paper budget on the Galaxy S3),
-//! and every sampled row replays the same runs at its own base offset. A
-//! per-frame comparison is therefore a sequence of bounds-check-free
-//! slice-window sweeps instead of one bounds-checked random gather per
-//! point — and *dense* runs (stride 1, i.e. the full-resolution sampler
-//! and any budget that samples every column) compare two pixels per `u64`
-//! word and refresh the snapshot with a straight `memcpy`.
+//! [`GridSampler`] has one production gather and one reference oracle.
+//! [`compare_and_capture_tiled`](GridSampler::compare_and_capture_tiled)
+//! compares and refreshes the snapshot in one pass, restricted to the
+//! damage and pruned by tile signatures; it reads each damaged row as
+//! one slice window and, when the sampled columns are consecutive,
+//! compares two pixels per `u64` word and refreshes with a `memcpy`.
+//! [`compare`](GridSampler::compare) is the scalar oracle it must agree
+//! with: one bounds-checked read per grid point, rect by rect, row-major.
 
 use crate::buffer::FrameBuffer;
 use crate::damage::DamageRegion;
@@ -33,10 +31,10 @@ pub struct GridCompare {
     pub points_compared: usize,
     /// Grid points whose framebuffer pixel was actually read, comparisons
     /// and snapshot refreshes combined. This is the per-frame gather cost:
-    /// [`GridSampler::compare`] reads each compared point once, the fused
-    /// [`GridSampler::compare_and_capture`] reads every grid point exactly
-    /// once, and the damage-restricted variant reads only the points
-    /// inside the damage region.
+    /// the oracle [`GridSampler::compare`] reads each compared point once;
+    /// [`GridSampler::compare_and_capture_tiled`] reads each point inside
+    /// the damage once, except in clean and solid tiles, which it never
+    /// reads.
     pub points_read: usize,
 }
 
@@ -46,10 +44,10 @@ pub struct GridCompare {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileCompare {
     /// The verdict and accounting. `differs` and `points_compared` are
-    /// bit-identical to what
-    /// [`GridSampler::compare_and_capture_damaged`] reports for the same
-    /// inputs; `points_read` counts only the framebuffer pixels actually
-    /// read, which the clean- and solid-tile paths avoid entirely.
+    /// bit-identical to what the oracle [`GridSampler::compare`] reports
+    /// for the same buffer, damage and snapshot; `points_read` counts
+    /// only the framebuffer pixels actually read, which the clean- and
+    /// solid-tile paths avoid entirely.
     pub grid: GridCompare,
     /// Tiles whose signature was examined (per damage rect and tile-row
     /// group, so a tile revisited for another rect counts again).
@@ -82,82 +80,7 @@ fn tile_kind(tiles: &TileMap, tx: u32, ty: u32, last_content_generation: u64) ->
     }
 }
 
-/// A maximal run of equally-spaced sample columns: `count` samples
-/// starting at screen column `first_x`, `stride` pixels apart.
-///
-/// The column centres `((2·gx + 1)·W) / (2·C)` are *not* globally
-/// equispaced when `W % C != 0` (consecutive strides alternate between
-/// ⌊W/C⌋ and ⌈W/C⌉), so a row decomposes into a handful of runs rather
-/// than always exactly one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ColRun {
-    first_x: u32,
-    stride: u32,
-    count: u32,
-}
-
-/// One column run projected onto a concrete sampled row: a window into
-/// the framebuffer's pixel slice plus the matching range of the
-/// row-major snapshot.
-#[derive(Debug, Clone, Copy)]
-struct RunSpan {
-    pixel_start: usize,
-    snap_start: usize,
-    stride: usize,
-    count: usize,
-}
-
-impl RunSpan {
-    /// The window of `pixels` spanned by this run, first sample to last
-    /// sample inclusive. Dense runs (stride 1) hold exactly the sampled
-    /// pixels; strided runs hold the sampled pixels at multiples of
-    /// `stride` from the window start.
-    fn window<'a>(&self, pixels: &'a [Pixel]) -> &'a [Pixel] {
-        let end = self.pixel_start + (self.count - 1) * self.stride + 1;
-        // ccdem-lint: allow(panic) — in-bounds by construction: every
-        // run's last sample is a cell centre inside the checked buffer.
-        &pixels[self.pixel_start..end]
-    }
-
-    /// This run's slots of the row-major snapshot.
-    fn snap<'a>(&self, snapshot: &'a [Pixel]) -> &'a [Pixel] {
-        // ccdem-lint: allow(panic) — snapshot length is checked against
-        // sample_count() before any span is formed.
-        &snapshot[self.snap_start..self.snap_start + self.count]
-    }
-
-    /// Mutable variant of [`snap`](Self::snap).
-    fn snap_mut<'a>(&self, snapshot: &'a mut [Pixel]) -> &'a mut [Pixel] {
-        // ccdem-lint: allow(panic) — see `snap`.
-        &mut snapshot[self.snap_start..self.snap_start + self.count]
-    }
-}
-
-/// Decomposes strictly increasing column centres into maximal
-/// equal-stride runs, greedily left to right.
-fn col_runs_of(col_xs: &[u32]) -> Vec<ColRun> {
-    let mut runs: Vec<ColRun> = Vec::new();
-    for &x in col_xs {
-        match runs.last_mut() {
-            // A lone trailing column adopts the next column's spacing.
-            Some(run) if run.count == 1 => {
-                run.stride = x - run.first_x;
-                run.count = 2;
-            }
-            Some(run) if x == run.first_x + run.stride * run.count => {
-                run.count += 1;
-            }
-            _ => runs.push(ColRun {
-                first_x: x,
-                stride: 1,
-                count: 1,
-            }),
-        }
-    }
-    runs
-}
-
-/// Packs two pixels into one comparison word: dense runs compare two
+/// Packs two pixels into one comparison word: dense rows compare two
 /// pixels per `u64` instead of one at a time. Only equality is ever
 /// asked of the word, so byte order inside it is irrelevant.
 fn word(pair: &[Pixel]) -> u64 {
@@ -195,28 +118,45 @@ fn first_diff_dense(window: &[Pixel], prev: &[Pixel]) -> Option<usize> {
         .map(|k| n + k)
 }
 
-/// Index of the first differing sample in a run window, dense or strided.
-fn first_diff(window: &[Pixel], stride: usize, prev: &[Pixel]) -> Option<usize> {
-    if stride == 1 {
-        first_diff_dense(window, prev)
-    } else {
-        window
-            .iter()
-            .step_by(stride)
-            .zip(prev)
-            .position(|(a, b)| a != b)
+/// Whether the strictly increasing sample columns `xs` are consecutive
+/// pixels, so a row window holds exactly the sampled pixels.
+fn is_dense(xs: &[u32]) -> bool {
+    match (xs.first(), xs.last()) {
+        (Some(&first), Some(&last)) => (last - first) as usize == xs.len() - 1,
+        _ => false,
     }
 }
 
-/// Copies a run's sampled pixels into `dst`: a `memcpy` for dense runs,
-/// a bounds-check-free strided sweep otherwise.
-fn capture_run(window: &[Pixel], stride: usize, dst: &mut [Pixel]) {
-    if stride == 1 {
+/// Index of the first sampled column of a row window (which starts at
+/// column `xs[0]`) whose pixel differs from its snapshot slot.
+fn first_diff_row(window: &[Pixel], xs: &[u32], dense: bool, snap: &[Pixel]) -> Option<usize> {
+    if dense {
+        return first_diff_dense(window, snap);
+    }
+    let base = xs.first().map_or(0, |&x| x as usize);
+    xs.iter().zip(snap).position(|(&x, s)| {
+        // ccdem-lint: allow(panic) — x ∈ [xs[0], xs[last]], the window.
+        window[x as usize - base] != *s
+    })
+}
+
+/// Copies the sampled columns `xs` of a row window (which starts at
+/// column `xs[0]`) into `dst`: a `memcpy` when the columns are
+/// consecutive, an index loop otherwise.
+fn capture_row(window: &[Pixel], xs: &[u32], dense: bool, dst: &mut [Pixel]) {
+    if dense {
         dst.copy_from_slice(window);
-    } else {
-        for (slot, px) in dst.iter_mut().zip(window.iter().step_by(stride)) {
-            *slot = *px;
-        }
+        return;
+    }
+    // A plain index loop: about 1.2× faster than zipped iterators in
+    // release builds on the 9K grid, 3.5× in debug.
+    let base = xs.first().map_or(0, |&x| x as usize);
+    let mut i = 0;
+    while i < dst.len() {
+        // ccdem-lint: allow(panic) — dst and xs have equal lengths, and
+        // every x lies in the window.
+        dst[i] = window[xs[i] as usize - base];
+        i += 1;
     }
 }
 
@@ -238,16 +178,13 @@ fn capture_run(window: &[Pixel], stride: usize, dst: &mut [Pixel]) {
 /// let mut fb = FrameBuffer::new(res);
 /// let before = sampler.sample(&fb);
 /// fb.fill(Pixel::WHITE);
-/// assert!(sampler.differs(&fb, &before));
+/// assert!(sampler.compare(&fb, fb.damage(), &before).differs);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GridSampler {
     resolution: Resolution,
     cols: u32,
     rows: u32,
-    /// Column sample positions decomposed into equal-stride runs; every
-    /// sampled row replays the same runs at its own base offset.
-    col_runs: Vec<ColRun>,
     /// Sample x-coordinate of each grid column, strictly increasing.
     col_xs: Vec<u32>,
     /// Sample y-coordinate of each grid row, strictly increasing.
@@ -276,12 +213,10 @@ impl GridSampler {
         let row_ys: Vec<u32> = (0..rows)
             .map(|gy| ((2 * gy + 1) * resolution.height) / (2 * rows))
             .collect();
-        let col_runs = col_runs_of(&col_xs);
         GridSampler {
             resolution,
             cols,
             rows,
-            col_runs,
             col_xs,
             row_ys,
         }
@@ -349,27 +284,6 @@ impl GridSampler {
         (self.cols as usize) * (self.rows as usize)
     }
 
-    /// Every run of every sampled row, in snapshot (row-major) order.
-    fn run_spans(&self) -> impl Iterator<Item = RunSpan> + '_ {
-        let w = self.resolution.width as usize;
-        let cols = self.cols as usize;
-        let runs = &self.col_runs;
-        self.row_ys.iter().enumerate().flat_map(move |(gy, &y)| {
-            let row_base = (y as usize) * w;
-            let mut snap_off = gy * cols;
-            runs.iter().map(move |run| {
-                let span = RunSpan {
-                    pixel_start: row_base + run.first_x as usize,
-                    snap_start: snap_off,
-                    stride: run.stride as usize,
-                    count: run.count as usize,
-                };
-                snap_off += run.count as usize;
-                span
-            })
-        })
-    }
-
     /// Gathers the sampled pixels of `buffer` into a new vector.
     ///
     /// **Allocation contract:** allocates a fresh vector on every call.
@@ -402,33 +316,20 @@ impl GridSampler {
         self.check_buffer(buffer);
         let pixels = buffer.as_pixels();
         out.resize(self.sample_count(), Pixel::TRANSPARENT);
-        for span in self.run_spans() {
-            capture_run(span.window(pixels), span.stride, span.snap_mut(out));
+        let xs = &self.col_xs;
+        let dense = is_dense(xs);
+        for (&y, dst) in self.row_ys.iter().zip(out.chunks_exact_mut(xs.len())) {
+            capture_row(self.row_window(pixels, y, xs), xs, dense, dst);
         }
     }
 
-    /// Whether the current buffer content differs from a previously
-    /// captured sample at any grid point. Early-exits on the first
-    /// difference, so redundant frames pay the full scan and changed
-    /// frames usually return almost immediately.
-    ///
-    /// # Panics
-    ///
-    /// Panics if resolutions mismatch or `previous` has the wrong length.
-    pub fn differs(&self, buffer: &FrameBuffer, previous: &[Pixel]) -> bool {
-        self.compare(buffer, previous).differs
-    }
-
-    /// Compares the current buffer against a previously captured sample,
-    /// reporting both the verdict and how many grid points were actually
-    /// inspected before the early exit — the per-frame comparison cost
-    /// that grid sampling exists to bound (paper §3.1, Fig. 6).
-    ///
-    /// A redundant frame inspects every point
-    /// ([`sample_count`](Self::sample_count)); a changed frame stops at
-    /// the first differing point. Dense runs compare two pixels per
-    /// `u64` word but still report the exact first-differing point, so
-    /// the accounting is bit-identical to a scalar sweep.
+    /// The scalar reference oracle: compares the grid points inside
+    /// `damage` against a previously captured sample, rect by rect in
+    /// `damage` order and row-major within each rect, with one
+    /// bounds-checked read per point, and stops at the first difference.
+    /// Pass the whole screen as `damage` for a full compare.
+    /// [`compare_and_capture_tiled`](Self::compare_and_capture_tiled)
+    /// must report the same `differs` and `points_compared`.
     ///
     /// # Panics
     ///
@@ -438,231 +339,81 @@ impl GridSampler {
     ///
     /// ```
     /// use ccdem_pixelbuf::buffer::FrameBuffer;
+    /// use ccdem_pixelbuf::damage::DamageRegion;
     /// use ccdem_pixelbuf::geometry::Resolution;
     /// use ccdem_pixelbuf::grid::GridSampler;
     /// use ccdem_pixelbuf::pixel::Pixel;
     ///
-    /// let g = GridSampler::new(Resolution::new(100, 100), 10, 10);
-    /// let mut fb = FrameBuffer::new(Resolution::new(100, 100));
+    /// let res = Resolution::new(100, 100);
+    /// let g = GridSampler::new(res, 10, 10);
+    /// let mut fb = FrameBuffer::new(res);
     /// let snap = g.sample(&fb);
+    /// let screen = DamageRegion::of(res.bounds());
     ///
-    /// let unchanged = g.compare(&fb, &snap);
+    /// let unchanged = g.compare(&fb, &screen, &snap);
     /// assert!(!unchanged.differs);
     /// assert_eq!(unchanged.points_compared, g.sample_count());
     ///
     /// fb.fill(Pixel::WHITE);
-    /// let changed = g.compare(&fb, &snap);
+    /// let changed = g.compare(&fb, &screen, &snap);
     /// assert!(changed.differs);
     /// assert_eq!(changed.points_compared, 1); // first point already differs
     /// ```
-    pub fn compare(&self, buffer: &FrameBuffer, previous: &[Pixel]) -> GridCompare {
-        self.check_snapshot(buffer, previous);
-        let pixels = buffer.as_pixels();
-        for span in self.run_spans() {
-            if let Some(k) = first_diff(span.window(pixels), span.stride, span.snap(previous)) {
-                let n = span.snap_start + k + 1;
-                return GridCompare {
-                    differs: true,
-                    points_compared: n,
-                    points_read: n,
-                };
-            }
-        }
-        GridCompare {
-            differs: false,
-            points_compared: self.sample_count(),
-            points_read: self.sample_count(),
-        }
-    }
-
-    /// Compares the current buffer against `snapshot` and refreshes the
-    /// snapshot to the current content, in a single gather: each grid
-    /// point is read exactly once, where a separate
-    /// [`compare`](Self::compare) + [`sample_into`](Self::sample_into)
-    /// pair reads redundant frames twice. The verdict is identical to
-    /// `compare` and the refreshed snapshot is identical to
-    /// `sample_into`'s output.
-    ///
-    /// Comparisons stop at the first difference (`points_compared`
-    /// early-exits like `compare`), but every point is still read to keep
-    /// the snapshot current, so `points_read` always equals
-    /// [`sample_count`](Self::sample_count). Runs that compared equal are
-    /// not rewritten (the snapshot already holds exactly those values);
-    /// dense runs past the first difference refresh via `memcpy`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if resolutions mismatch or `snapshot` has the wrong length
-    /// (prime it first with [`sample_into`](Self::sample_into)).
-    pub fn compare_and_capture(
-        &self,
-        buffer: &FrameBuffer,
-        snapshot: &mut [Pixel],
-    ) -> GridCompare {
-        self.check_snapshot(buffer, snapshot);
-        let pixels = buffer.as_pixels();
-        let mut differs = false;
-        let mut points_compared = 0;
-        for span in self.run_spans() {
-            let window = span.window(pixels);
-            if differs {
-                capture_run(window, span.stride, span.snap_mut(snapshot));
-            } else {
-                match first_diff(window, span.stride, span.snap(snapshot)) {
-                    Some(k) => {
-                        differs = true;
-                        points_compared += k + 1;
-                        capture_run(window, span.stride, span.snap_mut(snapshot));
-                    }
-                    // No difference in this run ⇒ its snapshot slots
-                    // already hold exactly the sampled values.
-                    None => points_compared += span.count,
-                }
-            }
-        }
-        GridCompare {
-            differs,
-            points_compared,
-            points_read: self.sample_count(),
-        }
-    }
-
-    /// Damage-restricted [`compare_and_capture`](Self::compare_and_capture):
-    /// inspects and refreshes only the grid points whose sample position
-    /// lies inside `damage`, reading nothing else.
-    ///
-    /// **Soundness contract:** `damage` must cover every pixel of `buffer`
-    /// written since `snapshot` was last captured (the guarantee
-    /// [`FrameBuffer::take_damage`] provides). Points outside the damage
-    /// are then unchanged, so skipping them cannot alter the verdict and
-    /// the snapshot remains current everywhere. Per damage rectangle the
-    /// intersecting grid rows/columns are found by binary search, so the
-    /// cost is O(points inside the damage), not O(grid). When the damaged
-    /// columns are consecutive pixels (always true for the full-resolution
-    /// sampler), each damaged row compares as one dense window — two
-    /// pixels per word, `memcpy` refresh.
-    ///
-    /// # Panics
-    ///
-    /// Panics if resolutions mismatch or `snapshot` has the wrong length.
-    pub fn compare_and_capture_damaged(
+    pub fn compare(
         &self,
         buffer: &FrameBuffer,
         damage: &DamageRegion,
-        snapshot: &mut [Pixel],
+        previous: &[Pixel],
     ) -> GridCompare {
-        self.check_snapshot(buffer, snapshot);
+        self.check_snapshot(buffer, previous);
         let pixels = buffer.as_pixels();
         let w = self.resolution.width as usize;
         let cols = self.cols as usize;
-        let mut differs = false;
-        let mut points_compared = 0;
-        let mut points_read = 0;
-        // Damage rects are disjoint and both coordinate axes are strictly
-        // increasing, so each grid point is visited at most once.
-        for rect in damage.rects() {
+        let (mut differs, mut compared) = (false, 0);
+        'walk: for rect in damage.rects() {
             let (gx0, gx1) = Self::axis_range(&self.col_xs, rect.x, rect.right());
             let (gy0, gy1) = Self::axis_range(&self.row_ys, rect.y, rect.bottom());
-            let Some(xs) = self.col_xs.get(gx0..gx1) else {
-                continue;
-            };
-            let (Some(&first_x), Some(&last_x)) = (xs.first(), xs.last()) else {
-                continue; // no sampled column inside this rect
-            };
-            // Consecutive damaged columns form a dense window per row.
-            let dense = (last_x - first_x) as usize == xs.len() - 1;
-            for (gy, &y) in self.row_ys.iter().enumerate().take(gy1).skip(gy0) {
-                let row_start = (y as usize) * w + first_x as usize;
-                let row_end = (y as usize) * w + last_x as usize;
-                // ccdem-lint: allow(panic) — in-bounds: cell centres lie
-                // inside the checked buffer.
-                let window = &pixels[row_start..=row_end];
-                let snap_start = gy * cols + gx0;
-                // ccdem-lint: allow(panic) — snapshot length is checked
-                // against sample_count() and gx1 ≤ cols.
-                let snap = &mut snapshot[snap_start..snap_start + xs.len()];
-                points_read += xs.len();
-                if dense {
-                    if differs {
-                        snap.copy_from_slice(window);
-                    } else {
-                        match first_diff_dense(window, snap) {
-                            Some(k) => {
-                                differs = true;
-                                points_compared += k + 1;
-                                snap.copy_from_slice(window);
-                            }
-                            None => points_compared += xs.len(),
-                        }
-                    }
-                } else {
-                    // Strided damaged columns: scalar sweep over the row
-                    // window at the columns' offsets from `first_x`.
-                    if differs {
-                        for (&x, slot) in xs.iter().zip(snap.iter_mut()) {
-                            // ccdem-lint: allow(panic) — x ∈ [first_x,
-                            // last_x] by construction of the axis range.
-                            *slot = window[(x - first_x) as usize];
-                        }
-                    } else {
-                        let hit = xs.iter().zip(snap.iter()).position(|(&x, s)| {
-                            // ccdem-lint: allow(panic) — same bound as
-                            // the capture sweep above.
-                            window[(x - first_x) as usize] != *s
-                        });
-                        match hit {
-                            Some(k) => {
-                                differs = true;
-                                points_compared += k + 1;
-                                for (&x, slot) in xs.iter().zip(snap.iter_mut()) {
-                                    // ccdem-lint: allow(panic) — see above.
-                                    *slot = window[(x - first_x) as usize];
-                                }
-                            }
-                            None => points_compared += xs.len(),
-                        }
+            let ys = self.row_ys.get(gy0..gy1).unwrap_or(&[]);
+            let xs = self.col_xs.get(gx0..gx1).unwrap_or(&[]);
+            for (gy, &y) in (gy0..).zip(ys) {
+                for (gx, &x) in (gx0..).zip(xs) {
+                    compared += 1;
+                    let at = y as usize * w + x as usize;
+                    if pixels.get(at) != previous.get(gy * cols + gx) {
+                        differs = true;
+                        break 'walk;
                     }
                 }
             }
         }
         GridCompare {
             differs,
-            points_compared,
-            points_read,
+            points_compared: compared,
+            points_read: compared,
         }
     }
 
-    /// Tile-gated [`compare_and_capture_damaged`][ccd]: consults the
-    /// buffer's per-tile content signatures before touching pixels, so
-    /// tiles unwritten since the last observation are skipped outright
-    /// and provably-solid tiles are compared against their constant
-    /// colour with **zero framebuffer reads** (the snapshot refresh is a
-    /// `fill`, not a gather). Only tiles with unknown content descend to
-    /// the PR 5 row-window pixel path. Both pruning mechanisms compose:
-    /// the walk covers the intersection of the damage region with the
-    /// dirty tiles.
+    /// The production gather: compares the grid points inside `damage`
+    /// against `snapshot` and refreshes the snapshot, in one pass.
     ///
-    /// Signatures gate *descent only*, never equality: `differs`,
-    /// `points_compared` (including the early-exit point), and the
-    /// refreshed snapshot bytes are bit-identical to
-    /// [`compare_and_capture_damaged`][ccd] on the same inputs. A stale
-    /// or overly pessimistic signature can only cost an extra descent.
-    /// Internally the per-rect walk is segment-major (each tile-row
-    /// group classifies its tile columns once), so the row-major
-    /// early-exit point is recovered as the lexicographically smallest
-    /// `(row, column)` difference across segments — comparisons have no
-    /// side effects, which makes the reordering observationally
-    /// invisible.
+    /// Tile signatures gate the descent: tiles unwritten since
+    /// `last_content_generation` are skipped, provably-solid tiles are
+    /// compared against their colour and refreshed with a `fill` (zero
+    /// framebuffer reads), and only unknown tiles read pixels, one row
+    /// window at a time. Rows that compared equal are not rewritten.
     ///
-    /// **Soundness contract:** in addition to the damage contract of
-    /// [`compare_and_capture_damaged`][ccd], `snapshot` must be current
-    /// as of `last_content_generation` — every grid point equal to the
-    /// buffer's pixel as it stood at that content generation. The meter
-    /// maintains exactly this by capturing on every observation; tiles
-    /// stamped at or before that generation are then both unchanged and
-    /// already correctly snapshotted.
+    /// Signatures gate *descent only*, never equality: `differs` and
+    /// `points_compared` equal the oracle [`compare`](Self::compare)'s on
+    /// the same inputs, and the refreshed snapshot equals a fresh
+    /// [`sample`](Self::sample). The walk is segment-major within each
+    /// tile row, so the row-major early-exit point is recovered as the
+    /// lexicographically smallest `(row, column)` difference.
     ///
-    /// [ccd]: Self::compare_and_capture_damaged
+    /// **Soundness contract:** `damage` must cover every pixel written
+    /// since `snapshot` was captured ([`FrameBuffer::take_damage`]), and
+    /// `snapshot` must equal the buffer at every grid point as of
+    /// `last_content_generation`. The meter keeps both by capturing on
+    /// every observation.
     ///
     /// # Panics
     ///
@@ -677,84 +428,71 @@ impl GridSampler {
         self.check_snapshot(buffer, snapshot);
         let pixels = buffer.as_pixels();
         let tiles = buffer.tiles();
-        let w = self.resolution.width as usize;
         let cols = self.cols as usize;
         let mut differs = false;
         let mut points_compared = 0;
         let mut points_read = 0;
         let mut tiles_checked = 0;
         let mut tiles_descended = 0;
+        let same_tile = |a: &u32, b: &u32| a / TILE_SIZE == b / TILE_SIZE;
         for rect in damage.rects() {
             let (gx0, gx1) = Self::axis_range(&self.col_xs, rect.x, rect.right());
             let (gy0, gy1) = Self::axis_range(&self.row_ys, rect.y, rect.bottom());
-            let Some(xs) = self.col_xs.get(gx0..gx1) else {
-                continue;
-            };
-            if xs.is_empty() || gy0 >= gy1 {
-                continue; // no sampled point inside this rect
-            }
-            let n_cols = xs.len();
-            // The row-major first differing point of this rect as
-            // (row offset within [gy0, gy1), column offset within xs) —
-            // the lexicographic minimum over all segment candidates,
-            // from which the early-exit accounting is reconstructed.
+            let xs = self.col_xs.get(gx0..gx1).unwrap_or(&[]);
+            let ys = self.row_ys.get(gy0..gy1).unwrap_or(&[]);
+            // The row-major first differing point of this rect as (row
+            // offset within ys, column offset within xs) — the
+            // lexicographic minimum over all segment candidates, from
+            // which the early-exit accounting is reconstructed.
             let mut first: Option<(usize, usize)> = None;
+            // Whether row `r` may still hold the first difference.
+            let live = |first: Option<(usize, usize)>, r: usize| {
+                !differs && first.is_none_or(|(fr, _)| r < fr)
+            };
             // Group consecutive grid rows sharing a tile row, so each
             // tile column is classified once per group, not per row.
-            let mut g = gy0;
-            while g < gy1 {
-                // ccdem-lint: allow(panic) — g < gy1 ≤ row_ys.len() by
-                // construction of the axis range.
-                let ty = self.row_ys[g] / TILE_SIZE;
-                let mut g_end = g + 1;
-                // ccdem-lint: allow(panic) — same bound as above.
-                while g_end < gy1 && self.row_ys[g_end] / TILE_SIZE == ty {
-                    g_end += 1;
-                }
-                // Walk the sampled columns, coalescing runs of same-kind
+            let mut r0 = 0;
+            for rows in ys.chunk_by(same_tile) {
+                let ty = rows.first().map_or(0, |&y| y / TILE_SIZE);
+                let kind = |x: &u32| tile_kind(tiles, x / TILE_SIZE, ty, last_content_generation);
+                // Coalesce the sampled columns of adjacent same-kind
                 // tiles into segments handled in one sweep each.
-                let mut s0 = 0usize;
-                while s0 < n_cols {
-                    // ccdem-lint: allow(panic) — s0 < n_cols = xs.len().
-                    let mut last_tx = xs[s0] / TILE_SIZE;
-                    let kind = tile_kind(tiles, last_tx, ty, last_content_generation);
-                    let mut seg_tiles = 1usize;
-                    let mut s1 = s0 + 1;
-                    while s1 < n_cols {
-                        // ccdem-lint: allow(panic) — s1 < n_cols.
-                        let tx = xs[s1] / TILE_SIZE;
-                        if tx != last_tx {
-                            if tile_kind(tiles, tx, ty, last_content_generation) != kind {
-                                break;
-                            }
-                            seg_tiles += 1;
-                            last_tx = tx;
-                        }
-                        s1 += 1;
+                let mut tile_cols = xs
+                    .chunk_by(same_tile)
+                    .map(|c| (c.first().map_or(TileKind::Clean, kind), c.len()))
+                    .peekable();
+                let mut s0 = 0;
+                while let Some((seg_kind, mut len)) = tile_cols.next() {
+                    let mut seg_tiles = 1;
+                    while let Some((_, more)) = tile_cols.next_if(|&(k, _)| k == seg_kind) {
+                        seg_tiles += 1;
+                        len += more;
                     }
+                    let seg_xs = xs.get(s0..s0 + len).unwrap_or(&[]);
                     tiles_checked += seg_tiles;
-                    match kind {
-                        TileKind::Clean => {
-                            // Unwritten since the last observation: the
-                            // pixels are unchanged and the snapshot is
-                            // still current here, so the (equal) outcome
-                            // is known without reading or writing.
-                        }
+                    // Row `r`'s snapshot slots for this segment.
+                    let at = |r: usize| (gy0 + r) * cols + gx0 + s0;
+                    let slots = |r: usize| at(r)..at(r) + seg_xs.len();
+                    match seg_kind {
+                        // Unwritten since the last observation: the pixels
+                        // are unchanged and the snapshot is still current
+                        // here, so the (equal) outcome is known without
+                        // reading or writing.
+                        TileKind::Clean => {}
                         TileKind::Solid(c) => {
                             tiles_descended += seg_tiles;
                             // Every framebuffer pixel under this segment
                             // provably holds `c`: compare the snapshot
-                            // slots against the constant and refresh
-                            // with a fill — zero framebuffer reads.
-                            for gy in g..g_end {
-                                let snap_start = gy * cols + gx0 + s0;
-                                // ccdem-lint: allow(panic) — snapshot
-                                // length is checked against
-                                // sample_count() and gx0 + s1 ≤ cols.
-                                let snap = &mut snapshot[snap_start..snap_start + (s1 - s0)];
-                                if !differs && first.is_none_or(|(r, _)| gy - gy0 < r) {
+                            // slots against the constant and refresh with
+                            // a fill — zero framebuffer reads.
+                            for r in r0..r0 + rows.len() {
+                                // ccdem-lint: allow(panic) — snapshot length
+                                // is checked against sample_count() and
+                                // gx0 + s0 + seg_xs.len() ≤ cols.
+                                let snap = &mut snapshot[slots(r)];
+                                if live(first, r) {
                                     if let Some(k) = snap.iter().position(|&s| s != c) {
-                                        first = Some((gy - gy0, s0 + k));
+                                        first = Some((r, s0 + k));
                                         snap.fill(c);
                                     }
                                     // Equal: the slots already hold `c`.
@@ -765,79 +503,30 @@ impl GridSampler {
                         }
                         TileKind::Unknown => {
                             tiles_descended += seg_tiles;
-                            // Unknown content: descend to the row-window
-                            // pixel path over this segment's columns.
-                            // ccdem-lint: allow(panic) — s0 < s1 ≤
-                            // n_cols = xs.len() (segment bounds).
-                            let seg_xs = &xs[s0..s1];
-                            let (Some(&first_x), Some(&last_x)) =
-                                (seg_xs.first(), seg_xs.last())
-                            else {
-                                unreachable!("segments are non-empty");
-                            };
-                            let dense = (last_x - first_x) as usize == seg_xs.len() - 1;
-                            for (gy, &y) in
-                                self.row_ys.iter().enumerate().take(g_end).skip(g)
-                            {
-                                let row_start = (y as usize) * w + first_x as usize;
-                                let row_end = (y as usize) * w + last_x as usize;
-                                // ccdem-lint: allow(panic) — in-bounds:
-                                // cell centres lie inside the buffer.
-                                let window = &pixels[row_start..=row_end];
-                                let snap_start = gy * cols + gx0 + s0;
-                                // ccdem-lint: allow(panic) — see the
-                                // solid-segment bound above.
-                                let snap = &mut snapshot[snap_start..snap_start + seg_xs.len()];
+                            // Unknown content: descend to pixel compares
+                            // over this segment's columns, row by row.
+                            let dense = is_dense(seg_xs);
+                            for (r, &y) in (r0..).zip(rows) {
+                                let window = self.row_window(pixels, y, seg_xs);
+                                // ccdem-lint: allow(panic) — see the solid
+                                // segment's bound above.
+                                let snap = &mut snapshot[slots(r)];
                                 points_read += seg_xs.len();
-                                let live =
-                                    !differs && first.is_none_or(|(r, _)| gy - gy0 < r);
-                                if dense {
-                                    if live {
-                                        if let Some(k) = first_diff_dense(window, snap) {
-                                            first = Some((gy - gy0, s0 + k));
-                                            snap.copy_from_slice(window);
-                                        }
-                                        // Equal runs are not rewritten.
-                                    } else {
-                                        snap.copy_from_slice(window);
+                                if live(first, r) {
+                                    if let Some(k) = first_diff_row(window, seg_xs, dense, snap) {
+                                        first = Some((r, s0 + k));
+                                        capture_row(window, seg_xs, dense, snap);
                                     }
-                                } else if live {
-                                    let hit = seg_xs.iter().zip(snap.iter()).position(
-                                        |(&x, s)| {
-                                            // ccdem-lint: allow(panic) — x ∈
-                                            // [first_x, last_x] by
-                                            // construction.
-                                            window[(x - first_x) as usize] != *s
-                                        },
-                                    );
-                                    if let Some(k) = hit {
-                                        first = Some((gy - gy0, s0 + k));
-                                        for (&x, slot) in seg_xs.iter().zip(snap.iter_mut())
-                                        {
-                                            // ccdem-lint: allow(panic) — see
-                                            // above.
-                                            *slot = window[(x - first_x) as usize];
-                                        }
-                                    }
+                                    // Equal rows are not rewritten.
                                 } else {
-                                    // A plain index loop: about 1.2× faster
-                                    // than zipped iterators in release
-                                    // builds on the 9K grid, 3.5× in debug.
-                                    let base = first_x as usize;
-                                    let mut i = 0;
-                                    while i < snap.len() {
-                                        // ccdem-lint: allow(panic) — see
-                                        // above.
-                                        snap[i] = window[seg_xs[i] as usize - base];
-                                        i += 1;
-                                    }
+                                    capture_row(window, seg_xs, dense, snap);
                                 }
                             }
                         }
                     }
-                    s0 = s1;
+                    s0 += len;
                 }
-                g = g_end;
+                r0 += rows.len();
             }
             // Reconstruct the row-major early-exit accounting from the
             // lexicographically first difference, exactly as the
@@ -846,9 +535,9 @@ impl GridSampler {
                 match first {
                     Some((r, k)) => {
                         differs = true;
-                        points_compared += r * n_cols + k + 1;
+                        points_compared += r * xs.len() + k + 1;
                     }
-                    None => points_compared += (gy1 - gy0) * n_cols,
+                    None => points_compared += ys.len() * xs.len(),
                 }
             }
         }
@@ -863,22 +552,6 @@ impl GridSampler {
         }
     }
 
-    /// Number of grid points whose pixel differs from the captured sample.
-    pub fn changed_points(&self, buffer: &FrameBuffer, previous: &[Pixel]) -> usize {
-        self.check_snapshot(buffer, previous);
-        let pixels = buffer.as_pixels();
-        self.run_spans()
-            .map(|span| {
-                span.window(pixels)
-                    .iter()
-                    .step_by(span.stride)
-                    .zip(span.snap(previous))
-                    .filter(|(a, b)| a != b)
-                    .count()
-            })
-            .sum()
-    }
-
     /// The `(x, y)` screen position of each sample point, in grid order,
     /// without allocating.
     pub fn positions(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
@@ -886,6 +559,18 @@ impl GridSampler {
         self.row_ys
             .iter()
             .flat_map(move |&y| cols.iter().map(move |&x| (x, y)))
+    }
+
+    /// Row `y` of `pixels` from sample column `xs[0]` to `xs[last]`
+    /// inclusive (empty when `xs` is).
+    fn row_window<'a>(&self, pixels: &'a [Pixel], y: u32, xs: &[u32]) -> &'a [Pixel] {
+        let (Some(&first), Some(&last)) = (xs.first(), xs.last()) else {
+            return &[];
+        };
+        let row = (y as usize) * (self.resolution.width as usize);
+        // ccdem-lint: allow(panic) — in-bounds: cell centres lie inside
+        // the checked buffer.
+        &pixels[row + first as usize..=row + last as usize]
     }
 
     /// The half-open range of grid indices whose sample coordinate lies in
@@ -919,6 +604,32 @@ mod tests {
     use super::*;
     use crate::geometry::Rect;
 
+    fn screen(res: Resolution) -> DamageRegion {
+        DamageRegion::of(res.bounds())
+    }
+
+    /// Runs the production gather on `snap` and checks it against the
+    /// oracle on the same inputs: the same verdict and early-exit point
+    /// over `damage`, the same verdict as a full-screen compare (the
+    /// damage is sound), and a refreshed snapshot equal to a fresh
+    /// sample.
+    fn tiled_vs_oracle(
+        g: &GridSampler,
+        fb: &FrameBuffer,
+        damage: &DamageRegion,
+        last_content_generation: u64,
+        snap: &mut Vec<Pixel>,
+    ) -> TileCompare {
+        let oracle = g.compare(fb, damage, snap);
+        let full = g.compare(fb, &screen(g.resolution()), snap);
+        let tiled = g.compare_and_capture_tiled(fb, damage, last_content_generation, snap);
+        assert_eq!(tiled.grid.differs, oracle.differs);
+        assert_eq!(tiled.grid.points_compared, oracle.points_compared);
+        assert_eq!(full.differs, oracle.differs, "damage must be sound");
+        assert_eq!(*snap, g.sample(fb), "snapshot must stay current");
+        tiled
+    }
+
     #[test]
     fn paper_grid_dimensions() {
         let res = Resolution::GALAXY_S3;
@@ -948,71 +659,6 @@ mod tests {
     }
 
     #[test]
-    fn column_runs_collapse_for_divisor_grids() {
-        // 720 divides evenly by every paper column count, so each row is
-        // exactly one equal-stride run.
-        let g = GridSampler::new(Resolution::GALAXY_S3, 36, 64);
-        assert_eq!(
-            g.col_runs,
-            vec![ColRun {
-                first_x: 10,
-                stride: 20,
-                count: 36
-            }]
-        );
-        // The full sampler is one dense run per row.
-        let full = GridSampler::full(Resolution::GALAXY_S3);
-        assert_eq!(
-            full.col_runs,
-            vec![ColRun {
-                first_x: 0,
-                stride: 1,
-                count: 720
-            }]
-        );
-    }
-
-    #[test]
-    fn column_runs_cover_non_divisor_grids_exactly() {
-        // 47 columns over 100 px: strides alternate between 2 and 3, so
-        // the decomposition must split — but replaying the runs must
-        // reproduce the exact centre list.
-        let g = GridSampler::new(Resolution::new(100, 10), 47, 5);
-        assert!(g.col_runs.len() > 1, "non-uniform strides must split");
-        let replayed: Vec<u32> = g
-            .col_runs
-            .iter()
-            .flat_map(|r| (0..r.count).map(move |k| r.first_x + k * r.stride))
-            .collect();
-        assert_eq!(replayed, g.col_xs);
-        assert_eq!(g.positions().count(), g.sample_count());
-    }
-
-    #[test]
-    fn dense_compare_locates_every_first_diff_exactly() {
-        // Odd width: every full-sampler row window has an odd tail after
-        // the two-pixel words, and diffs land on both word halves.
-        let res = Resolution::new(7, 3);
-        let g = GridSampler::full(res);
-        let fb = FrameBuffer::new(res);
-        let snap = g.sample(&fb);
-        for p in 0..g.sample_count() {
-            let (x, y) = ((p % 7) as u32, (p / 7) as u32);
-            let mut fb2 = fb.clone();
-            fb2.set_pixel(x, y, Pixel::WHITE);
-            let r = g.compare(&fb2, &snap);
-            assert!(r.differs);
-            assert_eq!(r.points_compared, p + 1, "first diff at point {p}");
-            assert_eq!(g.changed_points(&fb2, &snap), 1);
-            let mut captured = snap.clone();
-            let rc = g.compare_and_capture(&fb2, &mut captured);
-            assert_eq!(rc.points_compared, p + 1, "fused diff at point {p}");
-            assert_eq!(rc.points_read, g.sample_count());
-            assert_eq!(captured, g.sample(&fb2), "snapshot current after {p}");
-        }
-    }
-
-    #[test]
     fn positions_are_cell_centres_in_bounds() {
         let res = Resolution::new(100, 200);
         let g = GridSampler::new(res, 10, 20);
@@ -1025,27 +671,6 @@ mod tests {
     }
 
     #[test]
-    fn identical_buffers_do_not_differ() {
-        let res = Resolution::QUARTER;
-        let g = GridSampler::for_pixel_budget(res, 1000);
-        let fb = FrameBuffer::new(res);
-        let snap = g.sample(&fb);
-        assert!(!g.differs(&fb, &snap));
-        assert_eq!(g.changed_points(&fb, &snap), 0);
-    }
-
-    #[test]
-    fn full_screen_change_detected() {
-        let res = Resolution::QUARTER;
-        let g = GridSampler::for_pixel_budget(res, 1000);
-        let mut fb = FrameBuffer::new(res);
-        let snap = g.sample(&fb);
-        fb.fill(Pixel::WHITE);
-        assert!(g.differs(&fb, &snap));
-        assert_eq!(g.changed_points(&fb, &snap), g.sample_count());
-    }
-
-    #[test]
     fn tiny_change_between_grid_points_is_missed() {
         // This is the Fig. 6 failure mode for coarse grids: a change
         // smaller than a grid cell that avoids every sample point.
@@ -1054,13 +679,16 @@ mod tests {
         let mut fb = FrameBuffer::new(res);
         let snap = g.sample(&fb);
         fb.fill_rect(Rect::new(0, 0, 3, 3), Pixel::WHITE);
-        assert!(!g.differs(&fb, &snap), "coarse grid should miss a 3x3 change");
+        assert!(
+            !g.compare(&fb, &screen(res), &snap).differs,
+            "coarse grid should miss a 3x3 change"
+        );
         // The full sampler never misses.
         let full = GridSampler::full(res);
         let mut fb2 = FrameBuffer::new(res);
         let snap2 = full.sample(&fb2);
         fb2.fill_rect(Rect::new(0, 0, 3, 3), Pixel::WHITE);
-        assert!(full.differs(&fb2, &snap2));
+        assert!(full.compare(&fb2, &screen(res), &snap2).differs);
     }
 
     #[test]
@@ -1077,125 +705,55 @@ mod tests {
     }
 
     #[test]
-    fn fused_capture_matches_compare_then_sample() {
+    fn tiled_capture_reads_only_damaged_points() {
         let res = Resolution::new(100, 100);
+        // Samples at 5, 15, …, 95: a 20×20 write covers exactly a 2×2
+        // block of sample points; an 8×8 write at (6, 6) dodges them all.
         let g = GridSampler::new(res, 10, 10);
-        let mut fb = FrameBuffer::new(res);
-        let mut fused = g.sample(&fb);
-        let mut naive = fused.clone();
-
-        for step in 0..4 {
-            match step {
-                0 => fb.fill_rect(Rect::new(20, 20, 30, 30), Pixel::WHITE),
-                1 => fb.touch(),
-                2 => fb.fill(Pixel::grey(40)),
-                _ => fb.set_pixel(25, 25, Pixel::WHITE),
-            }
-            let expected = g.compare(&fb, &naive);
-            g.sample_into(&fb, &mut naive);
-            let got = g.compare_and_capture(&fb, &mut fused);
-            assert_eq!(got.differs, expected.differs, "step {step}");
-            assert_eq!(got.points_compared, expected.points_compared, "step {step}");
-            assert_eq!(got.points_read, g.sample_count());
-            assert_eq!(fused, naive, "snapshots diverged at step {step}");
-        }
-    }
-
-    #[test]
-    fn damaged_capture_reads_only_damaged_points() {
-        let res = Resolution::new(100, 100);
-        let g = GridSampler::new(res, 10, 10); // samples at 5, 15, …, 95
-        let mut fb = FrameBuffer::new(res);
-        let mut snap = g.sample(&fb);
-
-        // A 20×20 write covers exactly a 2×2 block of sample points.
-        fb.fill_rect(Rect::new(10, 10, 20, 20), Pixel::WHITE);
-        let damage = fb.take_damage();
-        let r = g.compare_and_capture_damaged(&fb, &damage, &mut snap);
-        assert!(r.differs);
-        assert_eq!(r.points_read, 4);
-        assert!(r.points_compared <= 4);
-        assert_eq!(snap, g.sample(&fb), "snapshot must stay current");
-    }
-
-    #[test]
-    fn damaged_capture_between_sample_points_reads_nothing() {
-        let res = Resolution::new(100, 100);
-        let g = GridSampler::new(res, 10, 10);
-        let mut fb = FrameBuffer::new(res);
-        let mut snap = g.sample(&fb);
-
-        // Damage that dodges every sample point: x in [6, 14), y in [6, 14).
-        fb.fill_rect(Rect::new(6, 6, 8, 8), Pixel::WHITE);
-        let damage = fb.take_damage();
-        let r = g.compare_and_capture_damaged(&fb, &damage, &mut snap);
-        assert!(!r.differs, "sub-cell change is invisible to the grid");
-        assert_eq!(r.points_read, 0);
-        // The full comparison agrees: no sampled point changed.
-        assert!(!g.differs(&fb, &snap));
-    }
-
-    #[test]
-    fn damaged_capture_with_empty_damage_is_free() {
-        let res = Resolution::QUARTER;
-        let g = GridSampler::for_pixel_budget(res, 500);
-        let mut fb = FrameBuffer::new(res);
-        let mut snap = g.sample(&fb);
-        fb.touch();
-        let r = g.compare_and_capture_damaged(&fb, &DamageRegion::new(), &mut snap);
-        assert_eq!(
-            r,
-            GridCompare {
-                differs: false,
-                points_compared: 0,
-                points_read: 0
-            }
-        );
-    }
-
-    #[test]
-    fn damaged_capture_matches_full_capture_on_multiple_rects() {
-        use crate::damage::DamageRegion;
-        let res = Resolution::new(64, 64);
-        let g = GridSampler::new(res, 8, 8);
-        let mut fb_a = FrameBuffer::new(res);
-        let mut fb_b = FrameBuffer::new(res);
-        let mut snap_full = g.sample(&fb_a);
-        let mut snap_damaged = snap_full.clone();
-
-        let rects = [
-            Rect::new(0, 0, 12, 12),
-            Rect::new(30, 30, 9, 9),
-            Rect::new(50, 2, 10, 60),
-        ];
-        let mut damage = DamageRegion::new();
-        for r in rects {
-            fb_a.fill_rect(r, Pixel::WHITE);
-            fb_b.fill_rect(r, Pixel::WHITE);
-            damage.add(r);
-        }
-        let full = g.compare_and_capture(&fb_a, &mut snap_full);
-        let restricted = g.compare_and_capture_damaged(&fb_b, &damage, &mut snap_damaged);
-        assert_eq!(full.differs, restricted.differs);
-        assert!(restricted.points_read < g.sample_count());
-        assert_eq!(snap_full, snap_damaged);
-    }
-
-    #[test]
-    fn damaged_capture_dense_rows_match_strided_reference() {
-        // A full sampler sees every damaged column as one dense row
-        // window; a 47-column sampler over the same screen sees strided,
-        // split runs. Both must agree with the from-scratch sample.
-        let res = Resolution::new(100, 40);
-        for g in [GridSampler::full(res), GridSampler::new(res, 47, 13)] {
+        for (rect, expect_read) in [(Rect::new(10, 10, 20, 20), 4), (Rect::new(6, 6, 8, 8), 0)] {
             let mut fb = FrameBuffer::new(res);
             let mut snap = g.sample(&fb);
-            fb.fill_rect(Rect::new(13, 7, 61, 19), Pixel::grey(99));
+            fb.take_damage();
+            let lcg = fb.content_generation();
+            fb.fill_rect(rect, Pixel::WHITE);
             let damage = fb.take_damage();
-            let r = g.compare_and_capture_damaged(&fb, &damage, &mut snap);
-            assert!(r.differs);
-            assert_eq!(snap, g.sample(&fb), "snapshot current ({}x{})", g.cols(), g.rows());
-            assert!(r.points_compared <= r.points_read);
+            let r = tiled_vs_oracle(&g, &fb, &damage, lcg, &mut snap);
+            assert_eq!(r.grid.differs, expect_read > 0, "{rect:?}");
+            assert_eq!(r.grid.points_read, expect_read, "{rect:?}");
+        }
+    }
+
+    #[test]
+    fn multi_rect_early_exit_charges_earlier_rects_in_full() {
+        // A 16×16 grid over 128×128 samples at 4, 12, …, 124. Three
+        // disjoint rects: the first is rewritten with identical content,
+        // the second holds the first difference, the third differs too.
+        let res = Resolution::new(128, 128);
+        let g = GridSampler::new(res, 16, 16);
+        let mut fb = FrameBuffer::new(res);
+        fb.fill(Pixel::grey(20));
+        let snap = g.sample(&fb);
+        fb.take_damage();
+        let lcg = fb.content_generation();
+
+        let r1 = Rect::new(0, 0, 20, 20); // columns {4, 12} × rows {4, 12}
+        let r2 = Rect::new(40, 40, 32, 16); // columns {44, 52, 60, 68} × rows {44, 52}
+        let r3 = Rect::new(80, 80, 40, 40); // 5 × 5 points
+        fb.fill_rect(r1, Pixel::grey(20));
+        fb.fill_rect(r2, Pixel::grey(20));
+        fb.set_pixel(60, 52, Pixel::WHITE); // rect 2, row 1, column 2
+        fb.fill_rect(r3, Pixel::WHITE);
+        let damage = fb.take_damage();
+        assert_eq!(damage.rects(), &[r1, r2, r3], "walked in insertion order");
+
+        // All 4 points of rect 1, then in-rect index 1·4 + 2 = 6, plus 1.
+        let expected = 4 + 6 + 1;
+        assert_eq!(g.compare(&fb, &damage, &snap).points_compared, expected);
+        for generation in [lcg, 0] {
+            let mut tiled_snap = snap.clone();
+            let r = tiled_vs_oracle(&g, &fb, &damage, generation, &mut tiled_snap);
+            assert!(r.grid.differs);
+            assert_eq!(r.grid.points_compared, expected, "generation {generation}");
         }
     }
 
@@ -1226,13 +784,12 @@ mod tests {
     }
 
     #[test]
-    fn tiled_capture_matches_damaged_reference() {
+    fn tiled_capture_matches_the_oracle_on_a_mixed_frame() {
         let res = Resolution::new(200, 150); // 4×3 tiles with uneven edges
         for g in [GridSampler::full(res), GridSampler::new(res, 37, 29)] {
             let mut fb = FrameBuffer::new(res);
             fb.fill(Pixel::grey(20));
-            let mut snap_ref = g.sample(&fb);
-            let mut snap_tiled = snap_ref.clone();
+            let mut snap = g.sample(&fb);
             fb.take_damage();
             let lcg = fb.content_generation();
 
@@ -1242,13 +799,9 @@ mod tests {
             fb.fill_rect(Rect::new(130, 10, 17, 9), Pixel::WHITE);
             let damage = fb.take_damage();
 
-            let reference = g.compare_and_capture_damaged(&fb, &damage, &mut snap_ref);
-            let tiled =
-                g.compare_and_capture_tiled(&fb, &damage, lcg, &mut snap_tiled);
-            assert_eq!(tiled.grid.differs, reference.differs);
-            assert_eq!(tiled.grid.points_compared, reference.points_compared);
-            assert_eq!(snap_tiled, snap_ref, "snapshot bytes must match");
-            assert!(tiled.grid.points_read <= reference.points_read);
+            let tiled = tiled_vs_oracle(&g, &fb, &damage, lcg, &mut snap);
+            let damaged = g.positions().filter(|&(x, y)| damage.contains(x, y));
+            assert!(tiled.grid.points_read < damaged.count());
             assert!(tiled.tiles_descended > 0);
             assert!(tiled.tiles_checked >= tiled.tiles_descended);
         }
@@ -1318,7 +871,7 @@ mod tests {
     }
 
     #[test]
-    fn tiled_capture_with_empty_damage_is_free() {
+    fn empty_damage_is_free() {
         let res = Resolution::QUARTER;
         let g = GridSampler::for_pixel_budget(res, 500);
         let mut fb = FrameBuffer::new(res);
@@ -1326,6 +879,7 @@ mod tests {
         let lcg = fb.content_generation();
         fb.touch();
         let r = g.compare_and_capture_tiled(&fb, &DamageRegion::new(), lcg, &mut snap);
+        assert_eq!(g.compare(&fb, &DamageRegion::new(), &snap), r.grid);
         assert_eq!(
             r,
             TileCompare {
@@ -1342,11 +896,11 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "wrong length")]
-    fn differs_rejects_bad_snapshot() {
+    fn compare_rejects_bad_snapshot() {
         let res = Resolution::QUARTER;
         let g = GridSampler::for_pixel_budget(res, 500);
         let fb = FrameBuffer::new(res);
-        let _ = g.differs(&fb, &[]);
+        let _ = g.compare(&fb, &screen(res), &[]);
     }
 
     #[test]

@@ -28,6 +28,7 @@
 //!
 //! ```
 //! use ccdem_pixelbuf::buffer::FrameBuffer;
+//! use ccdem_pixelbuf::damage::DamageRegion;
 //! use ccdem_pixelbuf::geometry::Resolution;
 //! use ccdem_pixelbuf::grid::GridSampler;
 //! use ccdem_pixelbuf::pixel::Pixel;
@@ -36,12 +37,14 @@
 //! let sampler = GridSampler::for_pixel_budget(res, 9216);
 //! let mut fb = FrameBuffer::new(res);
 //!
+//! let screen = DamageRegion::of(res.bounds());
+//!
 //! let snapshot = sampler.sample(&fb);
 //! fb.touch(); // app re-submitted identical content
-//! assert!(!sampler.differs(&fb, &snapshot)); // redundant frame
+//! assert!(!sampler.compare(&fb, &screen, &snapshot).differs); // redundant frame
 //!
 //! fb.fill(Pixel::WHITE); // real content change
-//! assert!(sampler.differs(&fb, &snapshot)); // meaningful frame
+//! assert!(sampler.compare(&fb, &screen, &snapshot).differs); // meaningful frame
 //! ```
 
 pub mod buffer;

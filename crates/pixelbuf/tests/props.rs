@@ -2,24 +2,19 @@
 
 use ccdem_pixelbuf::buffer::FrameBuffer;
 use ccdem_pixelbuf::damage::{DamageRegion, MAX_DAMAGE_RECTS};
-use ccdem_pixelbuf::diff::{buffers_equal, changed_pixel_count};
+use ccdem_pixelbuf::diff::buffers_equal;
 use ccdem_pixelbuf::geometry::{Rect, Resolution};
 use ccdem_pixelbuf::grid::GridSampler;
 use ccdem_pixelbuf::pixel::{Pixel, PixelFormat};
 use proptest::prelude::*;
 
-/// Scalar per-point reference for the grid compare: walk every sampled
-/// position in row-major order against the snapshot, exactly like the
-/// pre-row-run loop, returning `(differs, points_compared)`.
-fn scalar_compare(g: &GridSampler, fb: &FrameBuffer, snap: &[Pixel]) -> (bool, usize) {
-    let mut compared = 0;
-    for ((x, y), &s) in g.positions().zip(snap.iter()) {
-        compared += 1;
-        if fb.pixel(x, y) != s {
-            return (true, compared);
-        }
-    }
-    (false, compared)
+fn screen(res: Resolution) -> DamageRegion {
+    DamageRegion::of(res.bounds())
+}
+
+/// Every grid point's current pixel, read one at a time.
+fn fresh_sample(g: &GridSampler, fb: &FrameBuffer) -> Vec<Pixel> {
+    g.positions().map(|(x, y)| fb.pixel(x, y)).collect()
 }
 
 fn arb_rect() -> impl Strategy<Value = Rect> {
@@ -200,32 +195,16 @@ proptest! {
         let snapshot = g.sample(&before);
         let mut after = before.clone();
         after.fill_rect(rect, Pixel::grey(grey));
-        if g.differs(&after, &snapshot) {
+        if g.compare(&after, &screen(res), &snapshot).differs {
             prop_assert!(!buffers_equal(&before, &after));
         }
         // And the full sampler is exact in both directions.
         let full = GridSampler::full(res);
         let full_snapshot = full.sample(&before);
         prop_assert_eq!(
-            full.differs(&after, &full_snapshot),
+            full.compare(&after, &screen(res), &full_snapshot).differs,
             !buffers_equal(&before, &after)
         );
-    }
-
-    /// changed_points never exceeds the true changed-pixel count.
-    #[test]
-    fn sampled_changes_bounded_by_true_changes(
-        w in 8u32..64,
-        h in 8u32..64,
-        rect in arb_rect(),
-    ) {
-        let res = Resolution::new(w, h);
-        let g = GridSampler::for_pixel_budget(res, 500);
-        let before = FrameBuffer::new(res);
-        let snap = g.sample(&before);
-        let mut after = before.clone();
-        after.fill_rect(rect, Pixel::WHITE);
-        prop_assert!(g.changed_points(&after, &snap) <= changed_pixel_count(&before, &after));
     }
 
     /// Scrolling by the full height (or more) is equivalent to a fill.
@@ -242,45 +221,6 @@ proptest! {
         } else if dy > 0 {
             // The bottom band is the fill colour.
             prop_assert_eq!(scrolled.pixel(0, h - 1), Pixel::grey(grey));
-        }
-    }
-
-    /// The fused gather is indistinguishable from the legacy
-    /// compare-then-capture pair over arbitrary draw sequences, and the
-    /// damage-restricted gather — fed exactly the framebuffer's own
-    /// accumulated damage — agrees while never reading more points.
-    #[test]
-    fn fused_and_damaged_gathers_match_two_pass(
-        w in 8u32..64,
-        h in 8u32..64,
-        budget in 16usize..1_200,
-        ops in proptest::collection::vec(arb_draw_op(), 1..40),
-    ) {
-        let res = Resolution::new(w, h);
-        let g = GridSampler::for_pixel_budget(res, budget);
-        let mut fb = FrameBuffer::new(res);
-        let mut fused_snap = g.sample(&fb);
-        let mut damaged_snap = fused_snap.clone();
-        fb.take_damage();
-        for op in ops {
-            apply(op, &mut fb);
-            let damage = fb.take_damage();
-
-            // Legacy reference: compare against the old snapshot, then
-            // capture a fresh one (two full passes).
-            let expected_differs = g.differs(&fb, &fused_snap);
-            let mut reference = fused_snap.clone();
-            g.sample_into(&fb, &mut reference);
-
-            let fused = g.compare_and_capture(&fb, &mut fused_snap);
-            prop_assert_eq!(fused.differs, expected_differs);
-            prop_assert_eq!(&fused_snap, &reference);
-            prop_assert_eq!(fused.points_read, g.sample_count());
-
-            let restricted = g.compare_and_capture_damaged(&fb, &damage, &mut damaged_snap);
-            prop_assert_eq!(restricted.differs, expected_differs);
-            prop_assert_eq!(&damaged_snap, &reference);
-            prop_assert!(restricted.points_read <= fused.points_read);
         }
     }
 
@@ -333,14 +273,16 @@ proptest! {
         prop_assert_eq!(merged.area(), region.area());
     }
 
-    /// Tentpole equivalence: over arbitrary op sequences — including
-    /// blits from a second buffer, which exercise signature inheritance
-    /// and quantisation — the tile-gated gather returns the same
-    /// verdict, the same `points_compared`, and byte-identical snapshot
-    /// contents as the PR 5 damage-restricted gather, while never
-    /// reading more framebuffer pixels.
+    /// The production gather agrees with the scalar oracle over
+    /// arbitrary op sequences — including blits from a second buffer,
+    /// which exercise signature inheritance and quantisation — fed
+    /// exactly the framebuffer's own accumulated damage: the same
+    /// verdict and `points_compared` as the oracle over that damage, the
+    /// same verdict as a full-screen compare (the damage is sound), a
+    /// snapshot equal to a fresh sample, and never a read outside the
+    /// damage.
     #[test]
-    fn tiled_gather_matches_damaged_reference(
+    fn tiled_gather_matches_scalar_oracle(
         w in 8u32..150,
         h in 8u32..150,
         budget in 16usize..2_000,
@@ -358,8 +300,7 @@ proptest! {
         }
 
         let mut fb = FrameBuffer::with_format(res, format);
-        let mut tiled_snap = g.sample(&fb);
-        let mut ref_snap = tiled_snap.clone();
+        let mut snap = g.sample(&fb);
         fb.take_damage();
         let mut lcg = fb.content_generation();
 
@@ -367,13 +308,16 @@ proptest! {
             apply_tile_op(op, &mut fb, &src);
             let damage = fb.take_damage();
 
-            let reference = g.compare_and_capture_damaged(&fb, &damage, &mut ref_snap);
-            let tiled = g.compare_and_capture_tiled(&fb, &damage, lcg, &mut tiled_snap);
+            let oracle = g.compare(&fb, &damage, &snap);
+            let full = g.compare(&fb, &screen(res), &snap);
+            let tiled = g.compare_and_capture_tiled(&fb, &damage, lcg, &mut snap);
 
-            prop_assert_eq!(tiled.grid.differs, reference.differs);
-            prop_assert_eq!(tiled.grid.points_compared, reference.points_compared);
-            prop_assert_eq!(&tiled_snap, &ref_snap);
-            prop_assert!(tiled.grid.points_read <= reference.points_read);
+            prop_assert_eq!(tiled.grid.differs, oracle.differs);
+            prop_assert_eq!(tiled.grid.points_compared, oracle.points_compared);
+            prop_assert_eq!(full.differs, oracle.differs);
+            prop_assert_eq!(&snap, &fresh_sample(&g, &fb));
+            let damaged_points = g.positions().filter(|&(x, y)| damage.contains(x, y)).count();
+            prop_assert!(tiled.grid.points_read <= damaged_points);
             prop_assert!(tiled.tiles_descended <= tiled.tiles_checked);
             lcg = fb.content_generation();
         }
@@ -442,13 +386,14 @@ proptest! {
         }
     }
 
-    /// The row-run compare (dense two-pixels-per-word path plus strided
-    /// runs) agrees with the scalar per-point reference on arbitrary
-    /// buffers: same verdict, same `points_compared`, and the fused
-    /// variant leaves the snapshot exactly as a fresh sample would. Odd
-    /// widths exercise the `chunks_exact` tails.
+    /// The dense two-pixels-per-word compare and the strided compare
+    /// agree with the scalar oracle on arbitrary buffers: same verdict,
+    /// same `points_compared`, and a snapshot equal to a fresh sample.
+    /// Generation 0 with full-screen damage forces the tiled gather to
+    /// descend into every written, non-solid tile; odd widths exercise
+    /// the `chunks_exact` tails.
     #[test]
-    fn row_run_compare_matches_scalar_reference(
+    fn dense_words_match_scalar_oracle(
         w in 3u32..37,
         h in 3u32..19,
         budget in 1usize..600,
@@ -461,31 +406,25 @@ proptest! {
             for &op in &before {
                 apply(op, &mut fb);
             }
-            let snap = g.sample(&fb);
+            let mut snap = g.sample(&fb);
             for &op in &after {
                 apply(op, &mut fb);
             }
 
-            let (expect_differs, expect_compared) = scalar_compare(&g, &fb, &snap);
-            let got = g.compare(&fb, &snap);
-            prop_assert_eq!(got.differs, expect_differs);
-            prop_assert_eq!(got.points_compared, expect_compared);
-
-            let mut fused = snap.clone();
-            let r = g.compare_and_capture(&fb, &mut fused);
-            prop_assert_eq!(r.differs, expect_differs);
-            prop_assert_eq!(r.points_compared, expect_compared);
-            prop_assert_eq!(r.points_read, g.sample_count());
-            let fresh: Vec<Pixel> = g.positions().map(|(x, y)| fb.pixel(x, y)).collect();
-            prop_assert_eq!(fused, fresh);
+            let oracle = g.compare(&fb, &screen(res), &snap);
+            let r = g.compare_and_capture_tiled(&fb, &screen(res), 0, &mut snap);
+            prop_assert_eq!(r.grid.differs, oracle.differs);
+            prop_assert_eq!(r.grid.points_compared, oracle.points_compared);
+            prop_assert_eq!(snap, fresh_sample(&g, &fb));
         }
     }
 
-    /// Flipping exactly one sampled point makes every compare variant
-    /// locate it exactly: `points_compared == index + 1` for any index,
-    /// including ones landing mid-word or in a `chunks_exact` remainder.
+    /// Flipping exactly one sampled point makes both the oracle and the
+    /// tiled gather locate it exactly: `points_compared == index + 1`
+    /// for any index, including ones landing mid-word or in a
+    /// `chunks_exact` remainder.
     #[test]
-    fn row_run_compare_locates_single_flips_exactly(
+    fn single_flips_are_located_exactly(
         w in 3u32..37,
         h in 3u32..19,
         budget in 1usize..600,
@@ -498,21 +437,20 @@ proptest! {
             for &op in &base {
                 apply(op, &mut fb);
             }
-            let snap = g.sample(&fb);
+            let mut snap = g.sample(&fb);
             let idx = slot % g.sample_count();
             let (px, py) = g.positions().nth(idx).expect("index in range");
             let old = fb.pixel(px, py);
             fb.set_pixel(px, py, Pixel::rgba(old.red() ^ 0x80, old.green(), old.blue(), old.alpha()));
 
-            let got = g.compare(&fb, &snap);
-            prop_assert!(got.differs);
-            prop_assert_eq!(got.points_compared, idx + 1);
+            let oracle = g.compare(&fb, &screen(res), &snap);
+            prop_assert!(oracle.differs);
+            prop_assert_eq!(oracle.points_compared, idx + 1);
 
-            let mut fused = snap.clone();
-            let r = g.compare_and_capture(&fb, &mut fused);
-            prop_assert!(r.differs);
-            prop_assert_eq!(r.points_compared, idx + 1);
-            prop_assert_eq!(fused.get(idx).copied(), Some(fb.pixel(px, py)));
+            let r = g.compare_and_capture_tiled(&fb, &screen(res), 0, &mut snap);
+            prop_assert!(r.grid.differs);
+            prop_assert_eq!(r.grid.points_compared, idx + 1);
+            prop_assert_eq!(snap.get(idx).copied(), Some(fb.pixel(px, py)));
         }
     }
 

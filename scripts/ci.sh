@@ -6,12 +6,11 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+# The workspace run includes the root integration tests: trace_jsonl
+# (trace CLI end to end), profile_jsonl (profiler JSONL and self-time
+# table) and fleet_e2e (fleet CLI worker-count identity, kill+resume,
+# replay, trace taxonomy).
 cargo test -q --workspace
-# The trace CLI end-to-end: binary runs, JSONL parses, taxonomy holds.
-cargo test -q --test trace_jsonl
-# Profile smoke: the decision-path profiler end-to-end — binary runs,
-# every JSONL line parses, exactly one self-time table prints.
-cargo test -q --test profile_jsonl
 # Decision-tick budget: a fresh release-binary measurement of HEAD. The
 # budget (DECISION_TICK_BUDGET_US = 200 µs) is the paper's "negligible
 # overhead per control window" claim made checkable: the control window
@@ -31,9 +30,6 @@ END {
     printf "ci: decision tick: %s ticks, p99 %s µs (need >= 10000 ticks, p99 <= 200 µs)\n", ticks, p99 > "/dev/stderr"
     exit 1
 }' target/profile_ticks.txt
-# Fleet CLI end-to-end: worker-count byte identity, kill+resume byte
-# identity, replay, and trace taxonomy through the real binary.
-cargo test -q --test fleet_e2e
 # Fleet smoke: the acceptance scenario end-to-end on the release
 # binary — run a small campaign, kill a second run at its first
 # checkpoint, resume it under a different worker count, and require the
