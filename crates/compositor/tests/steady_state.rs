@@ -4,7 +4,9 @@
 //! framebuffer on every compose, and the surface's next redraw detaches
 //! into the storage the framebuffer gave up. This binary counts
 //! pixel-sized heap allocations to show that the two allocations trade
-//! places forever and no frame allocates a third.
+//! places forever and no frame allocates a third — also when the redraw
+//! is an app's full-screen fill with sprites, which records pending
+//! tiles and materializes only the few the sprites touch.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -13,12 +15,15 @@ use std::collections::BTreeSet;
 use ccdem_compositor::flinger::SurfaceFlinger;
 use ccdem_pixelbuf::geometry::Resolution;
 use ccdem_pixelbuf::pixel::Pixel;
+use ccdem_simkit::rng::SimRng;
 use ccdem_simkit::time::SimTime;
+use ccdem_workloads::{catalog, AppModel, ContentChange};
 
 const RESOLUTION: Resolution = Resolution::new(64, 64);
 
-/// Bytes of one framebuffer's pixels; smaller allocations (frame
-/// statistics, surface labels) are not pixel storage.
+/// Bytes of one 64×64 framebuffer's pixels, the smallest buffer here;
+/// smaller allocations (frame statistics, surface labels, tile flags)
+/// are not pixel storage.
 const PIXEL_BYTES: usize = 64 * 64 * std::mem::size_of::<Pixel>();
 
 thread_local! {
@@ -82,9 +87,46 @@ fn sole_surface_ping_pongs_two_allocations() {
 
         let fb = sf.framebuffer();
         let surface = sf.surface(id).unwrap().buffer();
-        assert_eq!(fb.as_pixels().as_ptr(), surface.as_pixels().as_ptr());
+        assert_eq!(fb.storage_id(), surface.storage_id());
         assert_eq!(fb.pixel(5, 9), Pixel::grey(frame as u8));
-        seen.insert(fb.as_pixels().as_ptr() as usize);
+        seen.insert(fb.storage_id());
+    }
+    assert_eq!(
+        pixel_allocs() - before,
+        0,
+        "a frame allocated pixel storage"
+    );
+    assert_eq!(seen.len(), 2, "framebuffer storage must ping-pong");
+}
+
+#[test]
+fn full_redraws_of_a_game_ping_pong_two_allocations() {
+    let mut sf = SurfaceFlinger::new(Resolution::GALAXY_S3);
+    let id = sf.create_surface("game");
+    let mut app = catalog::by_name("Jelly Splash")
+        .expect("catalog game")
+        .instantiate();
+    let mut rng = SimRng::seed_from_u64(9);
+    let before = pixel_allocs();
+    let mut seen = BTreeSet::new();
+    for frame in 0..100u64 {
+        let buffer = sf.surface_mut(id).unwrap().buffer_mut();
+        app.render(ContentChange::FullRedraw, buffer, &mut rng);
+        sf.submit(id, SimTime::from_millis(frame * 16), true)
+            .unwrap();
+        sf.compose(SimTime::from_millis(frame * 16 + 8));
+
+        let fb = sf.framebuffer();
+        assert_eq!(
+            fb.storage_id(),
+            sf.surface(id).unwrap().buffer().storage_id()
+        );
+        assert!(
+            fb.pending_tile_count() >= 240 - 12,
+            "frame {frame}: only {} of 240 tiles pending",
+            fb.pending_tile_count()
+        );
+        seen.insert(fb.storage_id());
     }
     assert_eq!(
         pixel_allocs() - before,

@@ -29,6 +29,7 @@ use std::fmt;
 
 use ccdem_metrics::table::TextTable;
 use ccdem_obs::json::Json;
+use ccdem_obs::sketch::MergeOverflow;
 use ccdem_obs::{Obs, QuantileSketch};
 use ccdem_simkit::time::SimTime;
 
@@ -179,11 +180,37 @@ impl CampaignStats {
     /// # Panics
     ///
     /// Panics if a shared metric was recorded at different sketch
-    /// precisions (not possible via this type's own observers).
+    /// precisions (not possible via this type's own observers), or if a
+    /// count would overflow (see [`try_merge`](Self::try_merge)).
     pub fn merge(&mut self, other: &CampaignStats) {
-        // ccdem-lint: allow(arith-cast) — run counts are bounded by the
-        // fleet size, far below u64::MAX.
-        self.runs += other.runs;
+        let merged = self.try_merge(other);
+        assert!(merged.is_ok(), "{MergeOverflow}");
+    }
+
+    /// [`merge`](Self::merge), unless the run count or a shared metric's
+    /// sample counts would overflow: then `self` is left unchanged and
+    /// the merge fails. Only loaded checkpoints can get near the limits.
+    ///
+    /// # Errors
+    ///
+    /// [`MergeOverflow`] when any count would overflow.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a shared metric was recorded at different sketch
+    /// precisions.
+    pub fn try_merge(&mut self, other: &CampaignStats) -> Result<(), MergeOverflow> {
+        let runs = self.runs.checked_add(other.runs).ok_or(MergeOverflow)?;
+        // Check every shared metric before changing any.
+        let overflows = other.metrics.iter().any(|(name, sketch)| {
+            self.metrics
+                .get(name)
+                .is_some_and(|mine| mine.merge_overflows(sketch))
+        });
+        if overflows {
+            return Err(MergeOverflow);
+        }
+        self.runs = runs;
         for (name, sketch) in &other.metrics {
             match self.metrics.entry(name) {
                 std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().merge(sketch),
@@ -192,6 +219,7 @@ impl CampaignStats {
                 }
             }
         }
+        Ok(())
     }
 
     /// Emits a `campaign.progress` event with the running run count and

@@ -466,7 +466,9 @@ pub fn run_observed(
 /// # Errors
 ///
 /// A checkpoint that does not match `config` (see
-/// [`FleetCheckpoint::matches`]), or checkpoint write failures.
+/// [`FleetCheckpoint::matches`]), checkpoint write failures, or
+/// checkpoint statistics whose counts would overflow once the remaining
+/// devices fold in (see [`CampaignStats::try_merge`]).
 pub fn resume(
     config: &FleetConfig,
     checkpoint: FleetCheckpoint,
@@ -528,7 +530,9 @@ fn run_from(
             },
         );
         for worker in &partials {
-            stats.merge(&worker.stats);
+            stats.try_merge(&worker.stats).map_err(|e| {
+                format!("cannot fold devices {next}..{wave_end} into the campaign: {e}")
+            })?;
             outcome.partials_merged += 1;
         }
         outcome.waves += 1;

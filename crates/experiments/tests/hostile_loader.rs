@@ -9,6 +9,7 @@ use std::sync::OnceLock;
 
 use ccdem_experiments::campaign::CampaignStats;
 use ccdem_experiments::fleet::{self, FleetConfig};
+use ccdem_obs::json::Json;
 use ccdem_obs::{json, Obs};
 use ccdem_simkit::time::SimDuration;
 use proptest::prelude::*;
@@ -65,4 +66,61 @@ proptest! {
         }
         let _ = load(&bytes);
     }
+}
+
+/// `document()` with the run count (when `runs`) and the first metric's
+/// sample count and its only bucket (when `sketch`) at `u64::MAX`: a
+/// consistent document, so it loads.
+fn at_limit(runs: bool, sketch: bool) -> CampaignStats {
+    let mut doc = json::parse(&String::from_utf8_lossy(document())).expect("document parses");
+    let max = Json::Num(u64::MAX as f64);
+    let Json::Obj(members) = &mut doc else {
+        panic!("stats document is an object")
+    };
+    for (key, value) in members.iter_mut() {
+        match (key.as_str(), value) {
+            ("runs", value) if runs => *value = max.clone(),
+            ("metrics", Json::Obj(metrics)) if sketch => {
+                let Some((_, Json::Obj(fields))) = metrics.first_mut() else {
+                    panic!("a metric sketch")
+                };
+                for (field, value) in fields.iter_mut() {
+                    match field.as_str() {
+                        "count" => *value = max.clone(),
+                        "buckets" => {
+                            *value = Json::Arr(vec![Json::Arr(vec![Json::Num(0.0), max.clone()])]);
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    CampaignStats::from_json(&doc).expect("a count at the limit still loads")
+}
+
+/// Folding more runs into a loaded aggregate whose counts sit at the
+/// limit fails and changes nothing: merges are checked, never wrapping
+/// (a wrapped run count) or saturating (a count that no longer equals
+/// its bucket sum, which the loader would reject).
+#[test]
+fn merging_into_counts_at_the_limit_fails_and_changes_nothing() {
+    let more = load(document()).expect("document loads");
+    for (runs, sketch) in [(true, false), (false, true), (true, true)] {
+        let mut stats = at_limit(runs, sketch);
+        let before = stats.clone();
+        assert!(
+            stats.try_merge(&more).is_err(),
+            "runs at limit {runs}, sketch at limit {sketch}: merge must fail"
+        );
+        assert_eq!(
+            stats, before,
+            "a failed merge must leave the aggregate as it was"
+        );
+    }
+    // Below the limit the same merge succeeds and adds the runs.
+    let mut stats = load(document()).expect("document loads");
+    stats.try_merge(&more).expect("no overflow");
+    assert_eq!(stats.runs(), 2 * more.runs());
 }

@@ -22,8 +22,9 @@ use crate::source::SourceFile;
 
 /// The declared hot-path roots, as `(type, fn)` pairs: the governor's
 /// control tick, the meter's per-frame observation, the tiled sampler
-/// compare, the refresh controller's switch path, and compositor
-/// compose.
+/// compare, the refresh controller's switch path, compositor compose,
+/// and the render path's framebuffer fills and scroll (which
+/// materialize pending tiles).
 pub const HOT_PATH_ROOTS: &[(&str, &str)] = &[
     ("Governor", "decide"),
     ("Governor", "on_framebuffer_update"),
@@ -34,6 +35,9 @@ pub const HOT_PATH_ROOTS: &[(&str, &str)] = &[
     ("RefreshController", "request"),
     ("RefreshController", "poll"),
     ("SurfaceFlinger", "compose"),
+    ("FrameBuffer", "fill"),
+    ("FrameBuffer", "fill_rect"),
+    ("FrameBuffer", "scroll_up"),
 ];
 
 /// The built graph: every parsed function plus the set reachable from

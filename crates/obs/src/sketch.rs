@@ -99,6 +99,19 @@ fn bucket_bounds(precision: u32, index: usize) -> (u64, u64) {
     }
 }
 
+/// A merge that would overflow a sample count or sum (see
+/// [`QuantileSketch::merge_overflows`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MergeOverflow;
+
+impl std::fmt::Display for MergeOverflow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("merged sample counts would overflow 64 bits")
+    }
+}
+
+impl std::error::Error for MergeOverflow {}
+
 /// A mergeable quantile sketch over non-negative `u64` samples.
 ///
 /// See the [module docs](self) for the bucket layout and error bound.
@@ -251,22 +264,38 @@ impl QuantileSketch {
     /// # Panics
     ///
     /// Panics if the precisions differ — merging across layouts would
-    /// silently re-bucket.
+    /// silently re-bucket — or if a count or the sum would overflow
+    /// (check [`merge_overflows`](Self::merge_overflows) first when the
+    /// counts come from outside the program). Counts never wrap or
+    /// saturate, so a merged sketch's count always equals its bucket sum.
     pub fn merge(&mut self, other: &QuantileSketch) {
         assert_eq!(
             self.precision, other.precision,
             "cannot merge sketches of different precision"
         );
+        assert!(!self.merge_overflows(other), "{MergeOverflow}");
         for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            // ccdem-lint: allow(arith-cast) — bucket sums stay ≤ count.
+            // ccdem-lint: allow(arith-cast) — checked by merge_overflows.
             *mine += theirs;
         }
-        // ccdem-lint: allow(arith-cast) — the combined sample count is
-        // kept below u64 by the recorders this merges.
+        // ccdem-lint: allow(arith-cast) — checked by merge_overflows.
         self.count += other.count;
-        self.sum += other.sum; // ccdem-lint: allow(arith-cast) — u128 accumulator
+        self.sum += other.sum; // ccdem-lint: allow(arith-cast) — checked by merge_overflows
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
+    }
+
+    /// Whether merging `other` into `self` would overflow a bucket
+    /// count, the sample count or the sum. Only loaded documents can
+    /// get near the limits: recording stops far short of them.
+    pub fn merge_overflows(&self, other: &QuantileSketch) -> bool {
+        self.count.checked_add(other.count).is_none()
+            || self.sum.checked_add(other.sum).is_none()
+            || self
+                .buckets
+                .iter()
+                .zip(&other.buckets)
+                .any(|(a, b)| a.checked_add(*b).is_none())
     }
 
     /// The samples recorded since `earlier` (which must be a snapshot of

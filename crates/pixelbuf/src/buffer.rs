@@ -5,7 +5,7 @@ use std::sync::Arc;
 use crate::damage::DamageRegion;
 use crate::geometry::{Rect, Resolution};
 use crate::pixel::{Pixel, PixelFormat};
-use crate::tile::TileMap;
+use crate::tile::{TileMap, TILE_SIZE};
 
 /// A software framebuffer: a dense row-major grid of [`Pixel`]s with two
 /// monotonically increasing generation counters and a damage region.
@@ -29,22 +29,37 @@ use crate::tile::TileMap;
 /// colour) inside the same row walks — see [`tiles`](Self::tiles) and
 /// the [`tile`](crate::tile) module.
 ///
+/// # Pending tiles
+///
+/// A tile that a constant fill covers whole is not written: it becomes
+/// *pending*, its storage unspecified and its pixels, by definition, its
+/// solid colour. A fresh buffer starts with every tile pending black, so
+/// a full-screen [`fill`](Self::fill) records one colour per tile instead
+/// of writing every pixel. A write that covers only part of a pending
+/// tile first writes the colour into that tile (*materializes* it);
+/// copies carry pending state over for the tiles they cover whole; and
+/// every reader ([`pixel`](Self::pixel), [`pixels`](Self::pixels),
+/// equality, the diff helpers) resolves pending tiles to their colour.
+/// Pending state is not observable: pixels, generations, damage and tile
+/// signatures are exactly those of a buffer that wrote every pixel.
+///
 /// # Shared storage
 ///
 /// Pixel storage is copy-on-write. [`clone`](Clone::clone) and
 /// [`share_from`](Self::share_from) make two buffers hold the same
-/// allocation without copying a pixel; the first write on either side
-/// detaches that side onto storage of its own, so a write on one buffer
-/// is never visible through the other. Detaching costs at most one copy
-/// of the shared pixels: none for whole-buffer overwrites
-/// ([`fill`](Self::fill), a same-format [`copy_from`](Self::copy_from)),
-/// one shifted copy for [`scroll_up`](Self::scroll_up), and one plain
-/// copy before every other write. A buffer keeps one *spare*
-/// allocation to detach into, which [`share_from`](Self::share_from)
-/// refills, so a compositor that shares a surface's storage every frame
-/// ping-pongs two allocations and allocates nothing. Sharing is not
-/// observable: equality, pixels, generations, damage and tile
-/// signatures behave exactly as if every share were a deep copy.
+/// allocation (and the same pending tiles) without copying a pixel; the
+/// first write on either side detaches that side onto storage of its
+/// own, so a write on one buffer is never visible through the other.
+/// Detaching costs at most one copy of the shared pixels: none for
+/// whole-buffer overwrites ([`fill`](Self::fill), a
+/// [`copy_from`](Self::copy_from)), one shifted copy for
+/// [`scroll_up`](Self::scroll_up), and one plain copy before every other
+/// write. A buffer keeps one *spare* allocation to detach into, which
+/// [`share_from`](Self::share_from) refills, so a compositor that shares
+/// a surface's storage every frame ping-pongs two allocations and
+/// allocates nothing. Sharing is not observable: equality, pixels,
+/// generations, damage and tile signatures behave exactly as if every
+/// share were a deep copy.
 ///
 /// # Examples
 ///
@@ -71,6 +86,10 @@ pub struct FrameBuffer {
     /// A uniquely held allocation to detach into when a write finds
     /// `pixels` shared. Its contents are stale and never observable.
     spare: Option<Arc<Vec<Pixel>>>,
+    /// The pending tiles (see the type docs). A pending tile is always
+    /// solid, and its storage is never read. Buffers that share storage
+    /// have equal pending tiles.
+    pending: Pending,
     generation: u64,
     content_generation: u64,
     damage: DamageRegion,
@@ -86,35 +105,34 @@ impl FrameBuffer {
     /// Creates a black framebuffer with an explicit pixel format.
     pub fn with_format(resolution: Resolution, format: PixelFormat) -> FrameBuffer {
         FrameBuffer {
-            resolution,
             format,
-            pixels: Arc::new(vec![Pixel::BLACK; resolution.pixel_count()]),
-            spare: None,
-            generation: 0,
-            content_generation: 0,
-            damage: DamageRegion::new(),
-            tiles: TileMap::new(resolution),
+            ..FrameBuffer::recycled(resolution, Vec::new())
         }
     }
 
     /// Rebuilds a framebuffer from recycled pixel `storage`: the
     /// observable state is identical to [`new`](Self::new) (black RGBA8888
     /// pixels, both generations zero, empty damage), but the storage's
-    /// allocation is reused. This is the steady-state path of scratch
-    /// reuse across sweep runs — pair it with
+    /// allocation is reused. Every tile starts pending black, so the old
+    /// contents are never read or overwritten; only storage shorter than
+    /// the resolution is extended. This is the steady-state path of
+    /// scratch reuse across sweep runs — pair it with
     /// [`into_storages`](Self::into_storages).
     pub fn recycled(resolution: Resolution, mut storage: Vec<Pixel>) -> FrameBuffer {
-        storage.clear();
-        storage.resize(resolution.pixel_count(), Pixel::BLACK);
+        let n = resolution.pixel_count();
+        storage.truncate(n);
+        storage.resize(n, Pixel::BLACK);
+        let tiles = TileMap::new(resolution);
         FrameBuffer {
             resolution,
             format: PixelFormat::Rgba8888,
             pixels: Arc::new(storage),
             spare: None,
+            pending: Pending::of_all(tiles.len()),
             generation: 0,
             content_generation: 0,
             damage: DamageRegion::new(),
-            tiles: TileMap::new(resolution),
+            tiles,
         }
     }
 
@@ -123,7 +141,8 @@ impl FrameBuffer {
     /// pixel storage, unless another buffer still shares it (the last
     /// holder hands it back), and its detach spare. Recycling every
     /// buffer that shared storage therefore returns exactly the
-    /// allocations they were built from plus any they allocated.
+    /// allocations they were built from plus any they allocated. The
+    /// contents are unspecified.
     pub fn into_storages(self) -> impl Iterator<Item = Vec<Pixel>> {
         let pixels = Arc::try_unwrap(self.pixels).ok();
         let spare = self.spare.and_then(|s| Arc::try_unwrap(s).ok());
@@ -161,6 +180,19 @@ impl FrameBuffer {
         &self.tiles
     }
 
+    /// Number of pending tiles (see the type docs): tiles whose colour
+    /// is recorded but whose pixels were never written.
+    pub fn pending_tile_count(&self) -> usize {
+        self.pending.count
+    }
+
+    /// An opaque identity of the pixel storage: two buffers report the
+    /// same id exactly when they share storage, and a recycled
+    /// allocation keeps its id. It gives no access to the pixels.
+    pub fn storage_id(&self) -> usize {
+        self.pixels.as_ptr() as usize
+    }
+
     /// The damage accumulated since the last
     /// [`take_damage`](Self::take_damage): a sound over-approximation of
     /// every pixel written in between.
@@ -196,7 +228,18 @@ impl FrameBuffer {
             "pixel ({x},{y}) out of bounds for {}",
             self.resolution
         );
-        self.pixels.get(self.index(x, y)).copied().unwrap_or(Pixel::BLACK)
+        self.pending_colour(self.tiles.index_of(x, y))
+            .or_else(|| self.pixels.get(self.index(x, y)).copied())
+            .unwrap_or(Pixel::BLACK)
+    }
+
+    /// All pixels in row-major order, pending tiles resolved to their
+    /// colour.
+    pub fn pixels(&self) -> impl Iterator<Item = Pixel> + '_ {
+        let width = self.resolution.width;
+        (0..self.resolution.height)
+            .flat_map(move |y| self.row_runs(y, 0, width))
+            .flat_map(|(_, run)| run.iter())
     }
 
     /// Writes the pixel at `(x, y)` (quantized to the buffer format) and
@@ -217,34 +260,50 @@ impl FrameBuffer {
         );
         let i = self.index(x, y);
         let q = self.format.quantize(p);
-        if let Some(slot) = self.pixels_mut(Detach::Copy).get_mut(i) {
+        let written = Rect::new(x, y, 1, 1);
+        if let Some(slot) = self
+            .write_target(Detach::Copy, written, Rect::default())
+            .get_mut(i)
+        {
             *slot = q;
         }
-        self.mark(Rect::new(x, y, 1, 1), Some(q));
+        self.mark(written, Some(q));
     }
 
-    /// Fills the whole buffer with one colour.
+    /// Fills the whole buffer with one colour. Every tile becomes
+    /// pending: no pixel is written.
     pub fn fill(&mut self, p: Pixel) {
-        let q = self.format.quantize(p);
-        self.pixels_mut(Detach::Overwrite).fill(q);
-        self.mark(self.resolution.bounds(), Some(q));
+        self.fill_rect(self.resolution.bounds(), p);
     }
 
     /// Fills `rect` (clipped to the screen) with one colour. A fully
     /// off-screen rect still counts as a write (generation bump), matching
-    /// hardware behaviour where the draw call is issued regardless.
+    /// hardware behaviour where the draw call is issued regardless. The
+    /// tiles `rect` covers whole become pending instead of being written.
     pub fn fill_rect(&mut self, rect: Rect, p: Pixel) {
         let q = self.format.quantize(p);
         let clipped = rect.clipped_to(self.resolution);
         if let Some(r) = clipped {
             let width = self.resolution.width as usize;
-            let pixels = self.pixels_mut(Detach::Copy);
-            for y in r.y..r.bottom() {
-                let row = y as usize * width + r.x as usize;
-                if let Some(seg) = pixels.get_mut(row..row + r.width as usize) {
+            let block = self.tiles.covered_block(r);
+            let pixels = self.write_target(self.overwrite(r), r, block);
+            let mut fill = |y: u32, x0: u32, x1: u32| {
+                let row = y as usize * width;
+                if let Some(seg) = pixels.get_mut(row + x0 as usize..row + x1 as usize) {
                     seg.fill(q);
                 }
+            };
+            // Whole rows above and below the block, the sides beside it.
+            for y in (r.y..block.y).chain(block.bottom()..r.bottom()) {
+                fill(y, r.x, r.right());
             }
+            if block.width < r.width {
+                for y in block.y..block.bottom() {
+                    fill(y, r.x, block.x);
+                    fill(y, block.right(), r.right());
+                }
+            }
+            self.set_pending(block, |_| true);
         }
         self.mark(clipped.unwrap_or_default(), Some(q));
     }
@@ -259,33 +318,22 @@ impl FrameBuffer {
             self.resolution, src.resolution,
             "copy_from requires matching resolutions"
         );
-        let format = self.format;
-        if format == src.format {
-            // Buffers sharing storage already hold identical pixels.
-            if !Arc::ptr_eq(&self.pixels, &src.pixels) {
-                self.pixels_mut(Detach::Overwrite)
-                    .copy_from_slice(&src.pixels);
-            }
+        // Buffers sharing storage already hold identical pixels.
+        if self.format == src.format && Arc::ptr_eq(&self.pixels, &src.pixels) {
+            self.mark_copied(self.resolution.bounds(), src);
         } else {
-            for (dst, &s) in self
-                .pixels_mut(Detach::Overwrite)
-                .iter_mut()
-                .zip(src.pixels.iter())
-            {
-                *dst = format.quantize(s);
-            }
+            self.copy_rect_from(src, self.resolution.bounds());
         }
-        self.mark_copied(self.resolution.bounds(), src);
     }
 
     /// Makes this buffer an exact copy of `src` without copying pixels:
-    /// the buffer adopts `src`'s storage (shared copy-on-write, see the
-    /// type docs) and hands its own old storage to `src` as the spare
-    /// `src` detaches into on its next write. Observably identical to
-    /// [`copy_from`](Self::copy_from) — pixels, generations, damage and
-    /// tile signatures — and `src` is observably unchanged. When the
-    /// formats differ the pixels need quantizing, so this falls back to
-    /// [`copy_from`](Self::copy_from).
+    /// the buffer adopts `src`'s storage and pending tiles (shared
+    /// copy-on-write, see the type docs) and hands its own old storage to
+    /// `src` as the spare `src` detaches into on its next write.
+    /// Observably identical to [`copy_from`](Self::copy_from) — pixels,
+    /// generations, damage and tile signatures — and `src` is observably
+    /// unchanged. When the formats differ the pixels need quantizing, so
+    /// this falls back to [`copy_from`](Self::copy_from).
     ///
     /// This is the compositor's direct-scanout path: a sole opaque
     /// full-screen surface lends its buffer to the framebuffer, and the
@@ -311,11 +359,14 @@ impl FrameBuffer {
                 let displaced = src.spare.replace(old);
                 self.spare = self.spare.take().or(displaced);
             }
+            self.pending.copy_from(&src.pending);
         }
         self.mark_copied(self.resolution.bounds(), src);
     }
 
     /// Copies `rect` (clipped) from `src` into the same position here.
+    /// Tiles the copy covers whole take over `src`'s pending state; a
+    /// pending source tile is copied as its colour, never read.
     ///
     /// # Panics
     ///
@@ -330,24 +381,30 @@ impl FrameBuffer {
             let convert = self.format != src.format;
             let format = self.format;
             let width = self.resolution.width as usize;
-            let w = r.width as usize;
-            let pixels = self.pixels_mut(Detach::Copy);
+            let block = self.tiles.covered_block(r);
+            let pixels = self.write_target(self.overwrite(r), r, block);
             for y in r.y..r.bottom() {
-                let i = y as usize * width + r.x as usize;
-                // Clipping keeps `i..i + w` inside both buffers (the
-                // resolutions match), so the lookups never miss.
-                let (Some(dst), Some(from)) = (pixels.get_mut(i..i + w), src.pixels.get(i..i + w))
-                else {
-                    continue;
-                };
-                if convert {
-                    for (d, &s) in dst.iter_mut().zip(from) {
-                        *d = format.quantize(s);
+                for (x, run) in src.row_runs(y, r.x, r.right()) {
+                    let i = y as usize * width + x as usize;
+                    // The runs lie inside `r`, which is clipped to both
+                    // buffers (the resolutions match).
+                    let Some(dst) = pixels.get_mut(i..i + run.len()) else {
+                        continue;
+                    };
+                    match run {
+                        Run::Stored(from) if convert => {
+                            for (d, &s) in dst.iter_mut().zip(from) {
+                                *d = format.quantize(s);
+                            }
+                        }
+                        Run::Stored(from) => dst.copy_from_slice(from),
+                        // A covered tile inherits the pending state below.
+                        Run::Pending(..) if block.contains(x, y) => {}
+                        Run::Pending(c, _) => dst.fill(format.quantize(c)),
                     }
-                } else {
-                    dst.copy_from_slice(from);
                 }
             }
+            self.set_pending(block, |i| src.pending.is(i));
         }
         self.mark_copied(clipped.unwrap_or_default(), src);
     }
@@ -370,17 +427,18 @@ impl FrameBuffer {
         if let Some(r) = clipped {
             let format = self.format;
             let width = self.resolution.width as usize;
-            let w = r.width as usize;
-            let pixels = self.pixels_mut(Detach::Copy);
+            // Blends read the destination: materialize every tile.
+            let pixels = self.write_target(Detach::Copy, r, Rect::default());
             for y in r.y..r.bottom() {
-                let i = y as usize * width + r.x as usize;
-                // Same bound as copy_rect_from: clipped to both buffers.
-                let (Some(dst), Some(from)) = (pixels.get_mut(i..i + w), src.pixels.get(i..i + w))
-                else {
-                    continue;
-                };
-                for (d, &s) in dst.iter_mut().zip(from) {
-                    *d = format.quantize(s.over(*d));
+                for (x, run) in src.row_runs(y, r.x, r.right()) {
+                    let i = y as usize * width + x as usize;
+                    // Same bound as copy_rect_from: clipped to both buffers.
+                    let Some(dst) = pixels.get_mut(i..i + run.len()) else {
+                        continue;
+                    };
+                    for (d, s) in dst.iter_mut().zip(run.iter()) {
+                        *d = format.quantize(s.over(*d));
+                    }
                 }
             }
         }
@@ -393,33 +451,31 @@ impl FrameBuffer {
     /// exposed bottom band with `fill`.
     pub fn scroll_up(&mut self, dy: u32, fill: Pixel) {
         let h = self.resolution.height;
-        let w = self.resolution.width as usize;
         let dy = dy.min(h);
-        let q = self.format.quantize(fill);
-        if dy > 0 {
-            let detach = if dy < h {
-                Detach::Shift(dy as usize * w)
-            } else {
-                Detach::Overwrite
-            };
-            let start = ((h - dy) as usize) * w;
-            if let Some(seg) = self.pixels_mut(detach).get_mut(start..) {
-                seg.fill(q);
-            }
-        }
-        if dy >= h {
-            // The whole screen is the fill colour: a provably solid write.
-            self.mark(self.resolution.bounds(), Some(q));
-        } else if dy > 0 {
-            self.mark(self.resolution.bounds(), None);
-        } else {
+        if dy == 0 {
             self.mark(Rect::default(), None);
+            return;
         }
-    }
-
-    /// A read-only view of all pixels in row-major order.
-    pub fn as_pixels(&self) -> &[Pixel] {
-        &self.pixels
+        if dy == h {
+            // The whole screen is the fill colour: a provably solid write.
+            self.fill(fill);
+            return;
+        }
+        let w = self.resolution.width as usize;
+        let q = self.format.quantize(fill);
+        let bounds = self.resolution.bounds();
+        // Pending tiles hold no pixels to move: materialize them first.
+        if self.pending.count > 0 {
+            self.write_target(Detach::Copy, bounds, Rect::default());
+        }
+        let start = ((h - dy) as usize) * w;
+        if let Some(seg) = self
+            .pixels_mut(Detach::Shift(dy as usize * w))
+            .get_mut(start..)
+        {
+            seg.fill(q);
+        }
+        self.mark(bounds, None);
     }
 
     /// Mean luminance of the whole buffer in `[0, 1]`.
@@ -427,14 +483,93 @@ impl FrameBuffer {
     /// This is an O(pixels) scan; it exists for the OLED power extension
     /// and for tests, not for the per-frame hot path.
     pub fn mean_luminance(&self) -> f64 {
-        if self.pixels.is_empty() {
+        let n = self.resolution.pixel_count();
+        if n == 0 {
             return 0.0;
         }
-        self.pixels.iter().map(|p| p.luminance()).sum::<f64>() / self.pixels.len() as f64
+        self.pixels().map(|p| p.luminance()).sum::<f64>() / n as f64
+    }
+
+    /// The raw pixel storage, row-major, for the grid gathers. Pixels
+    /// under pending tiles are unspecified, so readers must skip them:
+    /// `sample_into` takes their colour, and the tiled gather reads only
+    /// under tiles whose signature is unknown, which are never pending.
+    pub(crate) fn storage(&self) -> &[Pixel] {
+        &self.pixels
+    }
+
+    /// The colour of the tile at row-major index `i` if it is pending.
+    pub(crate) fn pending_colour(&self, i: usize) -> Option<Pixel> {
+        if self.pending.is(i) {
+            self.tiles.solid_at(i)
+        } else {
+            None
+        }
     }
 
     fn index(&self, x: u32, y: u32) -> usize {
         (y as usize) * (self.resolution.width as usize) + x as usize
+    }
+
+    /// Row `y` between columns `x0..x1` as runs: each stretch of
+    /// non-pending tiles as its stored pixels, each pending tile as its
+    /// colour. The runs are in order and cover `x0..x1` exactly.
+    fn row_runs(&self, y: u32, x0: u32, x1: u32) -> RowRuns<'_> {
+        RowRuns {
+            fb: self,
+            y,
+            x: x0,
+            end: x1,
+        }
+    }
+
+    /// Sets the pending flag of every tile in the tile-aligned `block`
+    /// to `pending(index)`.
+    fn set_pending(&mut self, block: Rect, pending: impl Fn(usize) -> bool) {
+        self.tiles
+            .for_each_tile(block, |i, _| self.pending.set(i, pending(i)));
+    }
+
+    /// How a write that overwrites every pixel of `rect` detaches: with
+    /// no copy when `rect` is the whole screen.
+    fn overwrite(&self, rect: Rect) -> Detach {
+        if rect == self.resolution.bounds() {
+            Detach::Overwrite
+        } else {
+            Detach::Copy
+        }
+    }
+
+    /// Mutable storage for a write to `rect`, detached from shared
+    /// storage as `detach` asks (see [`pixels_mut`](Self::pixels_mut)):
+    /// the pending tiles `rect` intersects are materialized, except those
+    /// inside `keep`, which the write covers whole and records itself.
+    fn write_target(&mut self, detach: Detach, rect: Rect, keep: Rect) -> &mut [Pixel] {
+        self.pixels_mut(detach);
+        let width = self.resolution.width as usize;
+        let Some(pixels) = Arc::get_mut(&mut self.pixels) else {
+            return &mut [];
+        };
+        if self.pending.count == 0 {
+            return pixels;
+        }
+        let tiles = &self.tiles;
+        tiles.for_each_tile(rect, |i, tile| {
+            if !self.pending.is(i) || keep.contains(tile.x, tile.y) {
+                return;
+            }
+            self.pending.set(i, false);
+            let Some(c) = tiles.solid_at(i) else {
+                return;
+            };
+            for y in tile.y..tile.bottom() {
+                let row = y as usize * width + tile.x as usize;
+                if let Some(seg) = pixels.get_mut(row..row + tile.width as usize) {
+                    seg.fill(c);
+                }
+            }
+        });
+        pixels
     }
 
     /// Mutable access to the pixels for a write, detaching from shared
@@ -535,6 +670,7 @@ impl Clone for FrameBuffer {
             format: self.format,
             pixels: Arc::clone(&self.pixels),
             spare: None,
+            pending: self.pending.clone(),
             generation: self.generation,
             content_generation: self.content_generation,
             damage: self.damage,
@@ -544,15 +680,56 @@ impl Clone for FrameBuffer {
 }
 
 impl PartialEq for FrameBuffer {
-    /// Compares observable state; the detach spare is not part of it.
+    /// Compares observable state: resolved pixels, not how they are
+    /// stored (the detach spare and pending tiles are not part of it).
     fn eq(&self, other: &FrameBuffer) -> bool {
+        let same_storage =
+            Arc::ptr_eq(&self.pixels, &other.pixels) && self.pending == other.pending;
         self.resolution == other.resolution
             && self.format == other.format
             && self.generation == other.generation
             && self.content_generation == other.content_generation
             && self.damage == other.damage
             && self.tiles == other.tiles
-            && self.pixels == other.pixels
+            && (same_storage || self.pixels().eq(other.pixels()))
+    }
+}
+
+/// Which tiles of a buffer are pending, and how many.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Pending {
+    /// Per tile, in [`TileMap`] order.
+    flags: Vec<bool>,
+    /// The number of set flags.
+    count: usize,
+}
+
+impl Pending {
+    /// `n` tiles, all pending.
+    fn of_all(n: usize) -> Pending {
+        Pending {
+            flags: vec![true; n],
+            count: n,
+        }
+    }
+
+    fn is(&self, i: usize) -> bool {
+        self.flags.get(i) == Some(&true)
+    }
+
+    fn set(&mut self, i: usize, pending: bool) {
+        if let Some(flag) = self.flags.get_mut(i) {
+            if *flag != pending {
+                *flag = pending;
+                self.count = if pending { self.count + 1 } else { self.count - 1 };
+            }
+        }
+    }
+
+    /// Becomes a copy of `other`, reusing this allocation.
+    fn copy_from(&mut self, other: &Pending) {
+        self.flags.clone_from(&other.flags);
+        self.count = other.count;
     }
 }
 
@@ -569,6 +746,70 @@ enum Detach {
     Copy,
 }
 
+/// One run of a row (see `FrameBuffer::row_runs`).
+#[derive(Debug, Clone, Copy)]
+enum Run<'a> {
+    /// Stored pixels of tiles that are not pending.
+    Stored(&'a [Pixel]),
+    /// This many pixels of a pending tile of this colour.
+    Pending(Pixel, usize),
+}
+
+impl<'a> Run<'a> {
+    fn len(&self) -> usize {
+        match *self {
+            Run::Stored(pixels) => pixels.len(),
+            Run::Pending(_, n) => n,
+        }
+    }
+
+    fn iter(self) -> impl Iterator<Item = Pixel> + 'a {
+        let (stored, c, n) = match self {
+            Run::Stored(pixels) => (pixels, Pixel::BLACK, 0),
+            Run::Pending(c, n) => (&[][..], c, n),
+        };
+        stored.iter().copied().chain(std::iter::repeat_n(c, n))
+    }
+}
+
+/// Iterator behind `FrameBuffer::row_runs`, yielding each run with its
+/// first column.
+struct RowRuns<'a> {
+    fb: &'a FrameBuffer,
+    y: u32,
+    x: u32,
+    end: u32,
+}
+
+impl<'a> Iterator for RowRuns<'a> {
+    type Item = (u32, Run<'a>);
+
+    fn next(&mut self) -> Option<(u32, Run<'a>)> {
+        let start = self.x;
+        if start >= self.end {
+            return None;
+        }
+        let fb = self.fb;
+        let tile_end = |x: u32| ((x / TILE_SIZE + 1) * TILE_SIZE).min(self.end);
+        let pending = |x: u32| fb.pending_colour(fb.tiles.index_of(x, self.y));
+        if let Some(c) = pending(start) {
+            self.x = tile_end(start);
+            return Some((start, Run::Pending(c, (self.x - start) as usize)));
+        }
+        let mut end = tile_end(start);
+        while end < self.end && pending(end).is_none() {
+            end = tile_end(end);
+        }
+        self.x = end;
+        let row = fb.index(0, self.y);
+        let stored = fb
+            .pixels
+            .get(row + start as usize..row + end as usize)
+            .unwrap_or_default();
+        Some((start, Run::Stored(stored)))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -577,7 +818,7 @@ mod tests {
     fn new_buffer_is_black_generation_zero() {
         let fb = FrameBuffer::new(Resolution::new(3, 3));
         assert_eq!(fb.generation(), 0);
-        assert!(fb.as_pixels().iter().all(|&p| p == Pixel::BLACK));
+        assert!(fb.pixels().all(|p| p == Pixel::BLACK));
     }
 
     #[test]
@@ -605,7 +846,7 @@ mod tests {
         a.fill_rect(Rect::new(1, 1, 2, 2), Pixel::rgb(9, 9, 9));
         let mut b = FrameBuffer::new(Resolution::new(5, 5));
         b.copy_from(&a);
-        assert_eq!(a.as_pixels(), b.as_pixels());
+        assert!(a.pixels().eq(b.pixels()));
     }
 
     #[test]
@@ -622,8 +863,8 @@ mod tests {
         fb.fill_rect(Rect::new(0, 0, 2, 1), Pixel::WHITE); // top row white
         fb.scroll_up(1, Pixel::grey(7));
         // White row moved off the top; bottom row filled with grey.
-        assert!(fb.as_pixels()[..6].iter().all(|&p| p == Pixel::BLACK));
-        assert!(fb.as_pixels()[6..].iter().all(|&p| p == Pixel::grey(7)));
+        assert!(fb.pixels().take(6).all(|p| p == Pixel::BLACK));
+        assert!(fb.pixels().skip(6).all(|p| p == Pixel::grey(7)));
     }
 
     #[test]
@@ -631,7 +872,7 @@ mod tests {
         let mut fb = FrameBuffer::new(Resolution::new(2, 2));
         fb.fill(Pixel::WHITE);
         fb.scroll_up(5, Pixel::BLACK);
-        assert!(fb.as_pixels().iter().all(|&p| p == Pixel::BLACK));
+        assert!(fb.pixels().all(|p| p == Pixel::BLACK));
     }
 
     #[test]
@@ -723,7 +964,7 @@ mod tests {
         }
 
         dst.blend_rect_from(&overlay, rect);
-        assert_eq!(dst.as_pixels(), reference.as_pixels());
+        assert!(dst.pixels().eq(reference.pixels()));
         assert_eq!(dst.take_damage().bounding(), rect);
     }
 
@@ -734,10 +975,10 @@ mod tests {
         used.fill(Pixel::WHITE);
         used.set_pixel(1, 1, Pixel::grey(3));
         let storage = used.into_storages().next().unwrap();
-        let ptr = storage.as_ptr();
+        let ptr = storage.as_ptr() as usize;
         let recycled = FrameBuffer::recycled(res, storage);
         assert_eq!(recycled, FrameBuffer::new(res));
-        assert_eq!(recycled.as_pixels().as_ptr(), ptr, "allocation reused");
+        assert_eq!(recycled.storage_id(), ptr, "allocation reused");
         // A smaller target resolution also reuses the allocation.
         let shrunk = FrameBuffer::recycled(
             Resolution::new(2, 2),
@@ -854,6 +1095,43 @@ mod tests {
             }
         }
         assert!(solid_seen > 0, "expected at least one solid tile");
+    }
+
+    #[test]
+    fn whole_tile_fills_defer_and_partial_writes_materialize() {
+        let res = Resolution::new(128, 100); // 2×2 tiles, short bottom row
+        let mut fb = FrameBuffer::new(res);
+        assert_eq!(fb.pending_tile_count(), 4, "a fresh buffer is all pending");
+        fb.set_pixel(1, 1, Pixel::WHITE);
+        assert_eq!(fb.pending_tile_count(), 3);
+        fb.fill(Pixel::grey(9));
+        assert_eq!(fb.pending_tile_count(), 4);
+        // Covers the bottom-left tile whole (clipped at the screen edge)
+        // and part of the top-left one.
+        fb.fill_rect(Rect::new(0, 10, 64, 200), Pixel::WHITE);
+        assert_eq!(fb.pending_tile_count(), 3);
+        assert_eq!(fb.pixel(0, 9), Pixel::grey(9));
+        assert_eq!(fb.pixel(63, 99), Pixel::WHITE);
+
+        // A copy carries pending state over for the tiles it covers
+        // whole, and a share for all of them.
+        let mut copy = FrameBuffer::new(res);
+        copy.set_pixel(100, 90, Pixel::WHITE);
+        assert_eq!(copy.pending_tile_count(), 3);
+        copy.copy_rect_from(&fb, Rect::new(64, 0, 64, 100));
+        assert_eq!(copy.pending_tile_count(), 4, "both right tiles pend in fb");
+        assert!(copy.pixels().skip(64).take(64).all(|p| p == Pixel::grey(9)));
+        copy.share_from(&mut fb);
+        assert_eq!(copy.pending_tile_count(), fb.pending_tile_count());
+        assert!(copy.pixels().eq(fb.pixels()));
+
+        // Scrolls and blends materialize every tile they read.
+        fb.scroll_up(3, Pixel::BLACK);
+        assert_eq!(fb.pending_tile_count(), 0);
+        assert_eq!(fb.pixel(0, 6), Pixel::grey(9));
+        assert_eq!(fb.pixel(0, 7), Pixel::WHITE);
+        copy.blend_rect_from(&fb, Rect::new(64, 0, 64, 64));
+        assert_eq!(copy.pending_tile_count(), 2);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub fn buffers_equal(a: &FrameBuffer, b: &FrameBuffer) -> bool {
         b.resolution(),
         "buffers_equal requires matching resolutions"
     );
-    a.as_pixels() == b.as_pixels()
+    a.pixels().eq(b.pixels())
 }
 
 /// Number of pixels that differ between two buffers.
@@ -47,11 +47,7 @@ pub fn changed_pixel_count(a: &FrameBuffer, b: &FrameBuffer) -> usize {
         b.resolution(),
         "changed_pixel_count requires matching resolutions"
     );
-    a.as_pixels()
-        .iter()
-        .zip(b.as_pixels())
-        .filter(|(x, y)| x != y)
-        .count()
+    a.pixels().zip(b.pixels()).filter(|(x, y)| x != y).count()
 }
 
 /// Fraction of the screen that differs, in `[0, 1]`.

@@ -13,7 +13,8 @@
 //! one slice window and, when the sampled columns are consecutive,
 //! compares two pixels per `u64` word and refreshes with a `memcpy`.
 //! [`compare`](GridSampler::compare) is the scalar oracle it must agree
-//! with: one bounds-checked read per grid point, rect by rect, row-major.
+//! with: one [`FrameBuffer::pixel`] read per grid point, rect by rect,
+//! row-major.
 
 use crate::buffer::FrameBuffer;
 use crate::damage::DamageRegion;
@@ -314,20 +315,31 @@ impl GridSampler {
     /// Panics if the buffer resolution does not match the sampler's.
     pub fn sample_into(&self, buffer: &FrameBuffer, out: &mut Vec<Pixel>) {
         self.check_buffer(buffer);
-        let pixels = buffer.as_pixels();
+        let pixels = buffer.storage();
+        let tiles = buffer.tiles();
         out.resize(self.sample_count(), Pixel::TRANSPARENT);
         let xs = &self.col_xs;
-        let dense = is_dense(xs);
         for (&y, dst) in self.row_ys.iter().zip(out.chunks_exact_mut(xs.len())) {
-            capture_row(self.row_window(pixels, y, xs), xs, dense, dst);
+            // Tile by tile: a pending tile's samples are its colour, the
+            // rest are read from storage.
+            let mut s0 = 0;
+            for seg in xs.chunk_by(|a, b| a / TILE_SIZE == b / TILE_SIZE) {
+                let slots = dst.get_mut(s0..s0 + seg.len()).unwrap_or_default();
+                s0 += seg.len();
+                let x = seg.first().map_or(0, |&x| x);
+                match buffer.pending_colour(tiles.index_of(x, y)) {
+                    Some(c) => slots.fill(c),
+                    None => capture_row(self.row_window(pixels, y, seg), seg, is_dense(seg), slots),
+                }
+            }
         }
     }
 
     /// The scalar reference oracle: compares the grid points inside
     /// `damage` against a previously captured sample, rect by rect in
     /// `damage` order and row-major within each rect, with one
-    /// bounds-checked read per point, and stops at the first difference.
-    /// Pass the whole screen as `damage` for a full compare.
+    /// [`FrameBuffer::pixel`] read per point, and stops at the first
+    /// difference. Pass the whole screen as `damage` for a full compare.
     /// [`compare_and_capture_tiled`](Self::compare_and_capture_tiled)
     /// must report the same `differs` and `points_compared`.
     ///
@@ -366,8 +378,6 @@ impl GridSampler {
         previous: &[Pixel],
     ) -> GridCompare {
         self.check_snapshot(buffer, previous);
-        let pixels = buffer.as_pixels();
-        let w = self.resolution.width as usize;
         let cols = self.cols as usize;
         let (mut differs, mut compared) = (false, 0);
         'walk: for rect in damage.rects() {
@@ -378,8 +388,7 @@ impl GridSampler {
             for (gy, &y) in (gy0..).zip(ys) {
                 for (gx, &x) in (gx0..).zip(xs) {
                     compared += 1;
-                    let at = y as usize * w + x as usize;
-                    if pixels.get(at) != previous.get(gy * cols + gx) {
+                    if Some(&buffer.pixel(x, y)) != previous.get(gy * cols + gx) {
                         differs = true;
                         break 'walk;
                     }
@@ -426,7 +435,9 @@ impl GridSampler {
         snapshot: &mut [Pixel],
     ) -> TileCompare {
         self.check_snapshot(buffer, snapshot);
-        let pixels = buffer.as_pixels();
+        // Raw storage: only unknown tiles are read, and pending tiles
+        // (whose storage is unspecified) are always solid.
+        let pixels = buffer.storage();
         let tiles = buffer.tiles();
         let cols = self.cols as usize;
         let mut differs = false;

@@ -8,11 +8,12 @@
 //! run *takes* them, and after the first run on a worker the steady
 //! state allocates nothing.
 //!
-//! Recycling never leaks state between runs: [`PixelPool::give`] clears
-//! the vector, and [`FrameBuffer::recycled`] resets pixels, generations,
-//! and damage to exactly the freshly-constructed state — results are
-//! byte-identical with or without a pool (proven end-to-end by
-//! `scratch_determinism` in `ccdem-experiments`).
+//! Recycling never leaks state between runs: [`PixelPool::take`] hands
+//! out an empty vector, and [`FrameBuffer::recycled`] resets pixels,
+//! generations, and damage to exactly the freshly-constructed state
+//! (every tile pending black, so the old contents are never read) —
+//! results are byte-identical with or without a pool (proven end-to-end
+//! by `scratch_determinism` in `ccdem-experiments`).
 
 use crate::buffer::FrameBuffer;
 use crate::geometry::Resolution;
@@ -48,20 +49,24 @@ impl PixelPool {
     /// Takes one buffer from the pool (empty, capacity preserved), or a
     /// fresh empty vector when the pool is dry.
     pub fn take(&mut self) -> Vec<Pixel> {
-        self.free.pop().unwrap_or_default()
+        let mut buf = self.free.pop().unwrap_or_default();
+        buf.clear();
+        buf
     }
 
-    /// Returns a buffer to the pool. The contents are cleared; only the
-    /// allocation survives.
-    pub fn give(&mut self, mut buf: Vec<Pixel>) {
-        buf.clear();
+    /// Returns a buffer to the pool; only the allocation survives. The
+    /// contents are discarded when the buffer is taken again, and a
+    /// framebuffer built from it never reads them, so it is not cleared
+    /// here: [`take_framebuffer`](Self::take_framebuffer) reuses it
+    /// without rewriting a pixel.
+    pub fn give(&mut self, buf: Vec<Pixel>) {
         self.free.push(buf);
     }
 
     /// Takes a buffer and builds a fresh-state framebuffer from it (see
     /// [`FrameBuffer::recycled`]).
     pub fn take_framebuffer(&mut self, resolution: Resolution) -> FrameBuffer {
-        FrameBuffer::recycled(resolution, self.take())
+        FrameBuffer::recycled(resolution, self.free.pop().unwrap_or_default())
     }
 
     /// Recycles a framebuffer's storage back into the pool: its pixels
@@ -116,10 +121,10 @@ mod tests {
         let mut pool = PixelPool::new();
         let res = Resolution::new(16, 16);
         let fb = pool.take_framebuffer(res);
-        let ptr = fb.as_pixels().as_ptr();
+        let id = fb.storage_id();
         pool.give_framebuffer(fb);
         let fb2 = pool.take_framebuffer(res);
-        assert_eq!(fb2.as_pixels().as_ptr(), ptr);
+        assert_eq!(fb2.storage_id(), id);
         assert_eq!(fb2, FrameBuffer::new(res));
     }
 }

@@ -108,14 +108,7 @@ impl TileMap {
     /// The pixel rectangle covered by tile `(tx, ty)` (edge tiles are
     /// clipped to the resolution).
     pub fn tile_rect(&self, tx: u32, ty: u32) -> Rect {
-        let x = tx * TILE_SIZE;
-        let y = ty * TILE_SIZE;
-        Rect::new(
-            x,
-            y,
-            TILE_SIZE.min(self.resolution.width - x),
-            TILE_SIZE.min(self.resolution.height - y),
-        )
+        tile_rect(self.resolution, tx, ty)
     }
 
     /// Stamps every tile intersecting `written` with `stamp` and updates
@@ -126,13 +119,14 @@ impl TileMap {
     /// all-`c` tile with `c` leaves it all-`c`), and degrade to unknown
     /// otherwise.
     pub fn stamp_rect(&mut self, written: Rect, stamp: u64, solid: Option<Pixel>) {
-        self.update(written, stamp, |covered, old| {
-            if covered {
-                solid
-            } else if old == solid {
-                old
-            } else {
-                None
+        each_tile(self.resolution, self.cols, written, |i, rect| {
+            if let Some(tile) = self.tiles.get_mut(i) {
+                tile.solid = if covers(written, rect) || tile.solid == solid {
+                    solid
+                } else {
+                    None
+                };
+                tile.stamp = stamp;
             }
         });
     }
@@ -158,64 +152,99 @@ impl TileMap {
             self.resolution, src.resolution,
             "tile inheritance requires matching resolutions"
         );
-        let Some(written) = written.clipped_to(self.resolution) else {
-            return;
-        };
-        let (tx0, tx1) = tile_span(written.x, written.right());
-        let (ty0, ty1) = tile_span(written.y, written.bottom());
-        for ty in ty0..=ty1 {
-            for tx in tx0..=tx1 {
-                let covered = self.covers(written, tx, ty);
-                let i = (ty * self.cols + tx) as usize;
-                // ccdem-lint: allow(panic) — identical grids: tile_span
-                // clips to the shared resolution, so the index is in
-                // range for both maps by construction.
-                let solid = if covered { src.tiles[i].solid.map(&map) } else { None };
-                // ccdem-lint: allow(panic) — same clipped index as above.
-                let tile = &mut self.tiles[i];
+        each_tile(self.resolution, self.cols, written, |i, rect| {
+            let solid = if covers(written, rect) {
+                src.solid_at(i).map(&map)
+            } else {
+                None
+            };
+            if let Some(tile) = self.tiles.get_mut(i) {
                 tile.solid = solid;
                 tile.stamp = stamp;
             }
-        }
+        });
     }
 
-    fn update(
-        &mut self,
-        written: Rect,
-        stamp: u64,
-        solid_of: impl Fn(bool, Option<Pixel>) -> Option<Pixel>,
-    ) {
-        let Some(written) = written.clipped_to(self.resolution) else {
-            return;
+    /// Number of tiles.
+    pub(crate) fn len(&self) -> usize {
+        self.tiles.len()
+    }
+
+    /// The solid colour of the tile at row-major index `i`.
+    pub(crate) fn solid_at(&self, i: usize) -> Option<Pixel> {
+        self.tiles.get(i).and_then(|t| t.solid)
+    }
+
+    /// The row-major index of the tile holding pixel `(x, y)`.
+    pub(crate) fn index_of(&self, x: u32, y: u32) -> usize {
+        ((y / TILE_SIZE) * self.cols + x / TILE_SIZE) as usize
+    }
+
+    /// Calls `f` with the row-major index and pixel rect of every tile
+    /// intersecting `rect` (clipped to the resolution).
+    pub(crate) fn for_each_tile(&self, rect: Rect, f: impl FnMut(usize, Rect)) {
+        each_tile(self.resolution, self.cols, rect, f);
+    }
+
+    /// The pixel rect of the tiles `rect` (already clipped) covers
+    /// whole: a tile-aligned block, clipped at the screen edge, or an
+    /// empty rect at `rect`'s origin when `rect` covers no tile.
+    pub(crate) fn covered_block(&self, rect: Rect) -> Rect {
+        let axis = |lo: u32, hi: u32, size: u32| {
+            let first = lo.div_ceil(TILE_SIZE) * TILE_SIZE;
+            let end = if hi >= size {
+                size
+            } else {
+                hi / TILE_SIZE * TILE_SIZE
+            };
+            (first, end.saturating_sub(first))
         };
-        let (tx0, tx1) = tile_span(written.x, written.right());
-        let (ty0, ty1) = tile_span(written.y, written.bottom());
-        for ty in ty0..=ty1 {
-            for tx in tx0..=tx1 {
-                let covered = self.covers(written, tx, ty);
-                let i = (ty * self.cols + tx) as usize;
-                // ccdem-lint: allow(panic) — tile_span clips to the
-                // resolution, so the index is in range by construction.
-                let tile = &mut self.tiles[i];
-                tile.solid = solid_of(covered, tile.solid);
-                tile.stamp = stamp;
-            }
+        let (x, w) = axis(rect.x, rect.right(), self.resolution.width);
+        let (y, h) = axis(rect.y, rect.bottom(), self.resolution.height);
+        if w == 0 || h == 0 {
+            Rect::new(rect.x, rect.y, 0, 0)
+        } else {
+            Rect::new(x, y, w, h)
         }
-    }
-
-    /// Does `written` fully cover tile `(tx, ty)`'s (clipped) rect?
-    fn covers(&self, written: Rect, tx: u32, ty: u32) -> bool {
-        let rect = self.tile_rect(tx, ty);
-        written.x <= rect.x
-            && written.y <= rect.y
-            && written.right() >= rect.right()
-            && written.bottom() >= rect.bottom()
     }
 }
 
-/// Inclusive tile-index span covering pixel range `[lo, hi)` (`hi > lo`).
-fn tile_span(lo: u32, hi: u32) -> (u32, u32) {
-    (lo / TILE_SIZE, (hi - 1) / TILE_SIZE)
+/// [`TileMap::for_each_tile`] for a map of `cols` tile columns over
+/// `resolution`, borrowing nothing of the map.
+fn each_tile(resolution: Resolution, cols: u32, rect: Rect, mut f: impl FnMut(usize, Rect)) {
+    let Some(r) = rect.clipped_to(resolution) else {
+        return;
+    };
+    for ty in tile_span(r.y, r.bottom()) {
+        for tx in tile_span(r.x, r.right()) {
+            f((ty * cols + tx) as usize, tile_rect(resolution, tx, ty));
+        }
+    }
+}
+
+/// The pixel rect of tile `(tx, ty)` at `resolution`, clipped at the edge.
+fn tile_rect(resolution: Resolution, tx: u32, ty: u32) -> Rect {
+    let x = tx * TILE_SIZE;
+    let y = ty * TILE_SIZE;
+    Rect::new(
+        x,
+        y,
+        TILE_SIZE.min(resolution.width - x),
+        TILE_SIZE.min(resolution.height - y),
+    )
+}
+
+/// Does `written` fully cover the tile rect `tile`?
+fn covers(written: Rect, tile: Rect) -> bool {
+    written.x <= tile.x
+        && written.y <= tile.y
+        && written.right() >= tile.right()
+        && written.bottom() >= tile.bottom()
+}
+
+/// Tile-index span covering pixel range `[lo, hi)` (`hi > lo`).
+fn tile_span(lo: u32, hi: u32) -> std::ops::Range<u32> {
+    lo / TILE_SIZE..(hi - 1) / TILE_SIZE + 1
 }
 
 #[cfg(test)]

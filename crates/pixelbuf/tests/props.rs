@@ -3,9 +3,12 @@
 use ccdem_pixelbuf::buffer::FrameBuffer;
 use ccdem_pixelbuf::damage::{DamageRegion, MAX_DAMAGE_RECTS};
 use ccdem_pixelbuf::diff::buffers_equal;
+use ccdem_pixelbuf::draw::draw_noise;
 use ccdem_pixelbuf::geometry::{Rect, Resolution};
 use ccdem_pixelbuf::grid::GridSampler;
 use ccdem_pixelbuf::pixel::{Pixel, PixelFormat};
+use ccdem_pixelbuf::tile::TILE_SIZE;
+use ccdem_simkit::rng::SimRng;
 use proptest::prelude::*;
 
 fn screen(res: Resolution) -> DamageRegion {
@@ -346,7 +349,7 @@ proptest! {
             apply_cow_op(op, &mut a, &mut b, false);
             apply_cow_op(op, &mut model_a, &mut model_b, true);
             for (side, real, model) in [("a", &a, &model_a), ("b", &b, &model_b)] {
-                prop_assert!(real.as_pixels() == model.as_pixels(), "{side} pixels at step {step} ({op:?})");
+                prop_assert!(real.pixels().eq(model.pixels()), "{side} pixels at step {step} ({op:?})");
                 prop_assert!(real.tiles() == model.tiles(), "{side} tiles at step {step} ({op:?})");
                 prop_assert_eq!(real.damage(), model.damage());
                 prop_assert_eq!(real.generation(), model.generation());
@@ -519,6 +522,297 @@ proptest! {
         ] {
             prop_assert!(ch >= a.min(b).saturating_sub(1));
             prop_assert!(ch <= a.max(b).saturating_add(1));
+        }
+    }
+}
+
+/// An eagerly written framebuffer: every pixel stored, nothing pending.
+/// The reference the deferred-fill buffers must match pixel for pixel.
+#[derive(Debug, Clone)]
+struct Model {
+    res: Resolution,
+    format: PixelFormat,
+    px: Vec<Pixel>,
+}
+
+impl Model {
+    fn new(res: Resolution, format: PixelFormat) -> Model {
+        Model {
+            res,
+            format,
+            px: vec![Pixel::BLACK; res.pixel_count()],
+        }
+    }
+
+    fn at(&self, x: u32, y: u32) -> Pixel {
+        self.px[(y * self.res.width + x) as usize]
+    }
+
+    fn set(&mut self, x: u32, y: u32, p: Pixel) {
+        self.px[(y * self.res.width + x) as usize] = self.format.quantize(p);
+    }
+
+    /// Sets every pixel of `rect` (clipped) to `f(x, y, old)`.
+    fn map_rect(&mut self, rect: Rect, f: impl Fn(u32, u32, Pixel) -> Pixel) {
+        if let Some(r) = rect.clipped_to(self.res) {
+            for y in r.y..r.bottom() {
+                for x in r.x..r.right() {
+                    let v = f(x, y, self.at(x, y));
+                    self.set(x, y, v);
+                }
+            }
+        }
+    }
+
+    fn scroll_up(&mut self, dy: u32, fill: Pixel) {
+        let (w, h) = (self.res.width, self.res.height);
+        let dy = dy.min(h);
+        for y in 0..h {
+            for x in 0..w {
+                let v = if y + dy < h { self.at(x, y + dy) } else { fill };
+                self.set(x, y, v);
+            }
+        }
+    }
+}
+
+/// A colour from a small palette, so fills often repeat a tile's colour
+/// (which keeps it solid) and blends see translucent sources.
+fn palette(i: u8) -> Pixel {
+    let v = i % 6;
+    Pixel::rgba(
+        v * 50,
+        255 - v * 40,
+        v * 23,
+        if v.is_multiple_of(2) { 255 } else { 128 },
+    )
+}
+
+/// One step of the pending-tile model test, on buffer `side` (0 or 1);
+/// copies and blends read the other buffer.
+#[derive(Debug, Clone, Copy)]
+enum PendOp {
+    Fill(usize, u8),
+    FillRect(usize, Rect, u8),
+    /// A fill of whole 64×64 tiles `(tx, ty, tw, th)`.
+    FillTiles(usize, (u32, u32, u32, u32), u8),
+    SetPixel(usize, u32, u32, u8),
+    Noise(usize, Rect, u64),
+    Scroll(usize, u32, u8),
+    CopyFrom(usize),
+    CopyRect(usize, Rect),
+    Blend(usize, Rect),
+    Share(usize),
+    /// Keep a clone of the side (sharing its storage) and check it
+    /// after every later step.
+    Clone(usize),
+    Recycle(usize),
+}
+
+fn arb_big_rect() -> impl Strategy<Value = Rect> {
+    (0u32..220, 0u32..220, 0u32..220, 0u32..220).prop_map(|(x, y, w, h)| Rect::new(x, y, w, h))
+}
+
+fn arb_pend_op() -> impl Strategy<Value = PendOp> {
+    let side = 0usize..2;
+    prop_oneof![
+        (side.clone(), any::<u8>()).prop_map(|(s, c)| PendOp::Fill(s, c)),
+        (side.clone(), arb_big_rect(), any::<u8>()).prop_map(|(s, r, c)| PendOp::FillRect(s, r, c)),
+        (
+            side.clone(),
+            (0u32..4, 0u32..4, 1u32..4, 1u32..4),
+            any::<u8>()
+        )
+            .prop_map(|(s, t, c)| PendOp::FillTiles(s, t, c)),
+        (side.clone(), 0u32..200, 0u32..200, any::<u8>())
+            .prop_map(|(s, x, y, c)| PendOp::SetPixel(s, x, y, c)),
+        (
+            side.clone(),
+            (0u32..220, 0u32..220, 0u32..24, 0u32..24),
+            any::<u64>()
+        )
+            .prop_map(|(s, (x, y, w, h), seed)| PendOp::Noise(
+                s,
+                Rect::new(x, y, w, h),
+                seed
+            )),
+        (side.clone(), 0u32..220, any::<u8>()).prop_map(|(s, dy, c)| PendOp::Scroll(s, dy, c)),
+        side.clone().prop_map(PendOp::CopyFrom),
+        (side.clone(), arb_big_rect()).prop_map(|(s, r)| PendOp::CopyRect(s, r)),
+        (side.clone(), arb_big_rect()).prop_map(|(s, r)| PendOp::Blend(s, r)),
+        side.clone().prop_map(PendOp::Share),
+        side.clone().prop_map(PendOp::Clone),
+        side.prop_map(PendOp::Recycle),
+    ]
+}
+
+/// `(target, other)` for an op on `side`.
+fn pair<T>(v: &mut [T; 2], side: usize) -> (&mut T, &mut T) {
+    let [a, b] = v;
+    if side == 0 {
+        (a, b)
+    } else {
+        (b, a)
+    }
+}
+
+/// Applies `op` to the real buffers and to the eager models.
+fn apply_pend_op(op: PendOp, bufs: &mut [FrameBuffer; 2], models: &mut [Model; 2]) {
+    let side = match op {
+        PendOp::Fill(s, ..)
+        | PendOp::FillRect(s, ..)
+        | PendOp::FillTiles(s, ..)
+        | PendOp::SetPixel(s, ..)
+        | PendOp::Noise(s, ..)
+        | PendOp::Scroll(s, ..)
+        | PendOp::CopyFrom(s)
+        | PendOp::CopyRect(s, ..)
+        | PendOp::Blend(s, ..)
+        | PendOp::Share(s)
+        | PendOp::Clone(s)
+        | PendOp::Recycle(s) => s,
+    };
+    let (fb, src) = pair(bufs, side);
+    let (model, src_model) = pair(models, side);
+    let res = fb.resolution();
+    match op {
+        PendOp::Fill(_, c) => {
+            fb.fill(palette(c));
+            model.map_rect(res.bounds(), |_, _, _| palette(c));
+        }
+        PendOp::FillRect(_, r, c) => {
+            fb.fill_rect(r, palette(c));
+            model.map_rect(r, |_, _, _| palette(c));
+        }
+        PendOp::FillTiles(_, (tx, ty, tw, th), c) => {
+            let r = Rect::new(
+                tx * TILE_SIZE,
+                ty * TILE_SIZE,
+                tw * TILE_SIZE,
+                th * TILE_SIZE,
+            );
+            fb.fill_rect(r, palette(c));
+            model.map_rect(r, |_, _, _| palette(c));
+        }
+        PendOp::SetPixel(_, x, y, c) => {
+            let (x, y) = (x % res.width, y % res.height);
+            fb.set_pixel(x, y, palette(c));
+            model.set(x, y, palette(c));
+        }
+        PendOp::Noise(_, r, seed) => {
+            draw_noise(fb, r, &mut SimRng::seed_from_u64(seed));
+            // draw_noise's contract: one word per pixel, row-major.
+            let mut rng = SimRng::seed_from_u64(seed);
+            if let Some(r) = r.clipped_to(res) {
+                for y in r.y..r.bottom() {
+                    for x in r.x..r.right() {
+                        model.set(x, y, Pixel::from_bits(rng.next_u64() as u32 | 0xFF00_0000));
+                    }
+                }
+            }
+        }
+        PendOp::Scroll(_, dy, c) => {
+            fb.scroll_up(dy, palette(c));
+            model.scroll_up(dy, palette(c));
+        }
+        PendOp::CopyFrom(_) | PendOp::Share(_) => {
+            if matches!(op, PendOp::Share(_)) {
+                fb.share_from(src);
+            } else {
+                fb.copy_from(src);
+            }
+            model.map_rect(res.bounds(), |x, y, _| src_model.at(x, y));
+        }
+        PendOp::CopyRect(_, r) => {
+            fb.copy_rect_from(src, r);
+            model.map_rect(r, |x, y, _| src_model.at(x, y));
+        }
+        PendOp::Blend(_, r) => {
+            fb.blend_rect_from(src, r);
+            model.map_rect(r, |x, y, d| src_model.at(x, y).over(d));
+        }
+        PendOp::Clone(_) => {}
+        PendOp::Recycle(_) => {
+            let old = std::mem::replace(fb, FrameBuffer::new(Resolution::new(1, 1)));
+            *fb = FrameBuffer::recycled(res, old.into_storages().next().unwrap_or_default());
+            *model = Model::new(res, PixelFormat::Rgba8888);
+        }
+    }
+}
+
+/// Every pixel of `fb`, read one at a time and as the resolved
+/// iterator, equals the eager model's.
+fn assert_matches_model(fb: &FrameBuffer, model: &Model, what: &str) {
+    let res = model.res;
+    assert_eq!(fb.format(), model.format, "{what}: format");
+    for y in 0..res.height {
+        for x in 0..res.width {
+            assert_eq!(fb.pixel(x, y), model.at(x, y), "{what}: pixel ({x}, {y})");
+        }
+    }
+    assert!(fb.pixels().eq(model.px.iter().copied()), "{what}: pixels()");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Deferred solid tiles are unobservable: over arbitrary sequences
+    /// of every writer — whole-screen and whole-tile fills (which record
+    /// pending tiles), unaligned fills, single pixels, noise, scrolls,
+    /// copies, blends, shares, clones and recycled storage — on two
+    /// buffers in either format and at resolutions spanning several
+    /// tiles and clipped edge tiles, every pixel equals an eagerly
+    /// written model after every step. The production gather, fed each
+    /// buffer's own damage, agrees with the scalar oracle, and its
+    /// snapshot equals a fresh sample and the model at the grid points.
+    #[test]
+    fn pending_tiles_match_an_eager_model(
+        w in 1u32..200,
+        h in 1u32..200,
+        budget in 16usize..2_000,
+        formats in (any::<bool>(), any::<bool>()),
+        ops in proptest::collection::vec(arb_pend_op(), 1..24),
+    ) {
+        let res = Resolution::new(w, h);
+        let format = |rgb565: bool| if rgb565 { PixelFormat::Rgb565 } else { PixelFormat::Rgba8888 };
+        let (fa, fb) = (format(formats.0), format(formats.1));
+        let g = GridSampler::for_pixel_budget(res, budget);
+        let mut bufs = [FrameBuffer::with_format(res, fa), FrameBuffer::with_format(res, fb)];
+        let mut models = [Model::new(res, fa), Model::new(res, fb)];
+        let mut snaps = [g.sample(&bufs[0]), g.sample(&bufs[1])];
+        let mut lcgs = [0u64; 2];
+        let mut kept: Vec<(FrameBuffer, Model)> = Vec::new();
+
+        for (step, &op) in ops.iter().enumerate() {
+            apply_pend_op(op, &mut bufs, &mut models);
+            match op {
+                PendOp::Clone(s) => kept.push((bufs[s].clone(), models[s].clone())),
+                PendOp::Recycle(s) => {
+                    // A new buffer: capture a new baseline.
+                    bufs[s].take_damage();
+                    snaps[s] = g.sample(&bufs[s]);
+                    lcgs[s] = bufs[s].content_generation();
+                }
+                _ => {}
+            }
+            for s in 0..2 {
+                let what = format!("side {s} at step {step} ({op:?})");
+                let fb = &mut bufs[s];
+                assert_matches_model(fb, &models[s], &what);
+
+                let damage = fb.take_damage();
+                let oracle = g.compare(fb, &damage, &snaps[s]);
+                let tiled = g.compare_and_capture_tiled(fb, &damage, lcgs[s], &mut snaps[s]);
+                prop_assert_eq!(tiled.grid.differs, oracle.differs, "{}", what);
+                prop_assert_eq!(tiled.grid.points_compared, oracle.points_compared, "{}", what);
+                prop_assert_eq!(&snaps[s], &g.sample(fb), "{}", what);
+                let at_model: Vec<Pixel> = g.positions().map(|(x, y)| models[s].at(x, y)).collect();
+                prop_assert_eq!(&snaps[s], &at_model, "{}", what);
+                lcgs[s] = fb.content_generation();
+            }
+            for (k, (clone, model)) in kept.iter().enumerate() {
+                assert_matches_model(clone, model, &format!("clone {k} at step {step} ({op:?})"));
+            }
         }
     }
 }

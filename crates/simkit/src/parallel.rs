@@ -75,6 +75,26 @@ pub fn available_parallelism() -> usize {
         .unwrap_or(1)
 }
 
+/// Joins every worker, then re-raises the first worker panic, if any.
+///
+/// `std::thread::scope` on its own waits only until each worker's
+/// closure returns. A join also waits until the thread has exited, which
+/// is when the C allocator hands the thread's arena back for reuse.
+/// Without it, the next call's workers can start before the old arenas
+/// are free and the allocator creates a new arena for them, so a loop of
+/// short parallel calls grows its resident memory by one arena at a time.
+fn join_all<T>(workers: Vec<std::thread::ScopedJoinHandle<'_, T>>) {
+    let mut first_panic = None;
+    for worker in workers {
+        if let Err(panic) = worker.join() {
+            first_panic.get_or_insert(panic);
+        }
+    }
+    if let Some(panic) = first_panic {
+        std::panic::resume_unwind(panic);
+    }
+}
+
 /// A fixed-width scoped worker pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelRunner {
@@ -171,8 +191,9 @@ impl ParallelRunner {
             Mutex::new((0..n).map(|_| None).collect());
 
         std::thread::scope(|scope| {
+            let mut workers = Vec::with_capacity(jobs);
             for _ in 0..jobs {
-                scope.spawn(|| {
+                workers.push(scope.spawn(|| {
                     // Built on first use so workers that never win a
                     // batch never pay for a state.
                     let mut state: Option<S> = None;
@@ -194,8 +215,9 @@ impl ParallelRunner {
                             results.lock().expect("results poisoned")[index] = Some(result);
                         }
                     }
-                });
+                }));
             }
+            join_all(workers);
         });
 
         results
@@ -264,9 +286,10 @@ impl ParallelRunner {
 
         std::thread::scope(|scope| {
             let (tx, rx) = mpsc::channel::<(usize, R)>();
+            let mut workers = Vec::with_capacity(jobs);
             for _ in 0..jobs {
                 let tx = tx.clone();
-                scope.spawn(|| {
+                workers.push(scope.spawn(|| {
                     let tx = tx; // move the clone, not the original
                     let mut state: Option<S> = None;
                     loop {
@@ -289,11 +312,11 @@ impl ParallelRunner {
                             }
                         }
                     }
-                });
+                }));
             }
             drop(tx);
             // Drain on the calling thread until every worker clone hangs
-            // up; a worker panic closes the channel early and the scope
+            // up; a worker panic closes the channel early and the join
             // re-raises it after this loop ends.
             while let Ok((index, result)) = rx.recv() {
                 observe(index, &result);
@@ -301,6 +324,7 @@ impl ParallelRunner {
                 // of the items slice, which sized this vec.
                 results[index] = Some(result);
             }
+            join_all(workers);
         });
 
         results
@@ -371,8 +395,9 @@ impl ParallelRunner {
         let cursor = AtomicU64::new(0);
         let partials: Mutex<Vec<A>> = Mutex::new(Vec::with_capacity(jobs as usize));
         std::thread::scope(|scope| {
+            let mut workers = Vec::with_capacity(jobs as usize);
             for _ in 0..jobs {
-                scope.spawn(|| {
+                workers.push(scope.spawn(|| {
                     // Built on first claim so workers that never win a
                     // batch never pay for an accumulator.
                     let mut acc: Option<A> = None;
@@ -393,8 +418,9 @@ impl ParallelRunner {
                         // worker already panicked; re-raising is correct
                         partials.lock().expect("partials poisoned").push(acc);
                     }
-                });
+                }));
             }
+            join_all(workers);
         });
         partials
             .into_inner()

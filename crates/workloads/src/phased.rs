@@ -324,14 +324,40 @@ mod tests {
     }
 
     #[test]
+    fn full_redraw_materializes_only_the_sprite_tiles() {
+        // A full redraw is one fill plus three 9×9 sprites. The fill
+        // records one colour per tile; each sprite writes into at most
+        // the four tiles it straddles, so at most 12 of the 240 tiles
+        // are materialized.
+        let mut app = crate::catalog::by_name("Asphalt 8")
+            .expect("catalog game")
+            .instantiate();
+        let mut rng = SimRng::seed_from_u64(7);
+        let mut fb = FrameBuffer::new(Resolution::GALAXY_S3);
+        assert_eq!(fb.tiles().cols() * fb.tiles().rows(), 240);
+        for frame in 0..10 {
+            app.render(ContentChange::FullRedraw, &mut fb, &mut rng);
+            let materialized = 240 - fb.pending_tile_count();
+            assert!(
+                (1..=12).contains(&materialized),
+                "frame {frame}: {materialized} tiles materialized"
+            );
+        }
+    }
+
+    #[test]
     fn render_changes_pixels_for_content_frames() {
         let mut app = spec().instantiate();
         let mut rng = SimRng::seed_from_u64(5);
         let mut fb = FrameBuffer::new(Resolution::QUARTER);
         app.render(ContentChange::FullRedraw, &mut fb, &mut rng);
-        let before = fb.as_pixels().to_vec();
+        let before = fb.pixels().collect::<Vec<_>>();
         app.render(ContentChange::FullRedraw, &mut fb, &mut rng);
-        assert_ne!(before, fb.as_pixels(), "consecutive redraws must differ");
+        assert_ne!(
+            before,
+            fb.pixels().collect::<Vec<_>>(),
+            "consecutive redraws must differ"
+        );
     }
 
     #[test]
@@ -340,9 +366,9 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(6);
         let mut fb = FrameBuffer::new(Resolution::QUARTER);
         app.render(ContentChange::Widget, &mut fb, &mut rng); // initialize
-        let before = fb.as_pixels().to_vec();
+        let before = fb.pixels().collect::<Vec<_>>();
         app.render(ContentChange::Scroll { dy: 40 }, &mut fb, &mut rng);
-        assert_ne!(before, fb.as_pixels());
+        assert_ne!(before, fb.pixels().collect::<Vec<_>>());
     }
 
     #[test]

@@ -241,9 +241,9 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(6);
         let mut fb = FrameBuffer::new(Resolution::QUARTER);
         r.render(ContentChange::None, &mut fb, &mut rng); // initialize
-        let before = fb.as_pixels().to_vec();
+        let before = fb.pixels().collect::<Vec<_>>();
         r.render(ContentChange::Scroll { dy: 30 }, &mut fb, &mut rng);
-        assert_ne!(before, fb.as_pixels());
+        assert_ne!(before, fb.pixels().collect::<Vec<_>>());
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! Drives the real binary through the acceptance scenarios: worker
 //! count must not change the emitted statistics document, a campaign
 //! killed at a checkpoint and resumed must finish byte-identical to an
-//! uninterrupted one, `--replay-device` must reproduce a single device
-//! in isolation, and `--trace` must stream well-formed fleet.* events.
+//! uninterrupted one, a resume whose counts would overflow must fail
+//! with a message, `--replay-device` must reproduce a single device in
+//! isolation, and `--trace` must stream well-formed fleet.* events.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -246,4 +247,92 @@ fn trace_streams_well_formed_fleet_events() {
     );
 
     let _ = std::fs::remove_file(&trace);
+}
+
+#[test]
+fn resume_whose_counts_would_overflow_fails_with_a_message() {
+    let checkpoint = temp("overflow_ckpt.json");
+    let out = temp("overflow_out.json");
+    for path in [&checkpoint, &out] {
+        let _ = std::fs::remove_file(path);
+    }
+    let base = [
+        "--devices",
+        "16",
+        "--duration",
+        "1",
+        "--seed",
+        "3",
+        "--batch",
+        "4",
+    ];
+    let interrupted = fleet(
+        &[
+            &base[..],
+            &[
+                "--jobs",
+                "1",
+                "--checkpoint",
+                checkpoint.to_str().unwrap(),
+                "--checkpoint-every",
+                "1",
+                "--stop-after",
+                "1",
+            ],
+        ]
+        .concat(),
+    );
+    assert_clean(&interrupted);
+
+    // Put the run count, and one sketch's count and its only bucket, at
+    // u64::MAX. The document stays consistent, so it loads; folding the
+    // remaining devices into it would overflow.
+    let saved = std::fs::read_to_string(&checkpoint).expect("checkpoint written");
+    let mut doc = parse(&saved).expect("checkpoint is valid JSON");
+    let max = Json::Num(u64::MAX as f64);
+    let Json::Obj(members) = &mut doc else {
+        panic!("checkpoint is an object")
+    };
+    let (_, Json::Obj(stats)) = members
+        .iter_mut()
+        .find(|(key, _)| key == "stats")
+        .expect("checkpoint carries stats")
+    else {
+        panic!("stats is an object")
+    };
+    for (key, value) in stats.iter_mut() {
+        match (key.as_str(), value) {
+            ("runs", value) => *value = max.clone(),
+            ("metrics", Json::Obj(metrics)) => {
+                let Some((_, Json::Obj(fields))) = metrics.first_mut() else {
+                    panic!("a metric sketch")
+                };
+                for (field, value) in fields.iter_mut() {
+                    match field.as_str() {
+                        "count" => *value = max.clone(),
+                        "buckets" => {
+                            *value = Json::Arr(vec![Json::Arr(vec![Json::Num(0.0), max.clone()])]);
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    std::fs::write(&checkpoint, doc.to_string()).expect("rewrite checkpoint");
+
+    let resumed = fleet(&[
+        "--resume",
+        checkpoint.to_str().unwrap(),
+        "--jobs",
+        "1",
+        "--out",
+        out.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert_eq!(resumed.status.code(), Some(1), "expected exit 1: {stderr}");
+    assert!(stderr.contains("overflow"), "no message: {stderr}");
+    assert!(!out.exists(), "a failed resume must not write statistics");
+    let _ = std::fs::remove_file(&checkpoint);
 }
