@@ -52,6 +52,9 @@ pub struct Surface {
     visible: bool,
     opaque: bool,
     layout_generation: u64,
+    /// The buffer's content generation at the last compose: tiles
+    /// stamped later are dirty.
+    pub(crate) composed_generation: u64,
 }
 
 impl Surface {
@@ -61,9 +64,10 @@ impl Surface {
     }
 
     /// [`new`](Self::new) with a caller-provided buffer — typically one
-    /// rebuilt from recycled storage ([`FrameBuffer::recycled`]), which is
-    /// indistinguishable from a fresh buffer. The surface covers the
-    /// buffer's full resolution.
+    /// taken from a pool of recycled storage
+    /// ([`PixelPool::take_framebuffer`](ccdem_pixelbuf::pool::PixelPool::take_framebuffer)),
+    /// which is indistinguishable from a fresh buffer. The surface covers
+    /// the buffer's full resolution.
     pub fn with_buffer(id: SurfaceId, label: impl Into<String>, buffer: FrameBuffer) -> Surface {
         Surface {
             id,
@@ -74,6 +78,7 @@ impl Surface {
             visible: true,
             opaque: true,
             layout_generation: 0,
+            composed_generation: 0,
         }
     }
 

@@ -23,8 +23,9 @@ use crate::source::SourceFile;
 /// The declared hot-path roots, as `(type, fn)` pairs: the governor's
 /// control tick, the meter's per-frame observation, the tiled sampler
 /// compare, the refresh controller's switch path, compositor compose,
-/// and the render path's framebuffer fills and scroll (which
-/// materialize pending tiles).
+/// and the render path's framebuffer writes: fills, scroll and the
+/// per-pixel stores of `draw_noise` (all of which may give tiles
+/// storage).
 pub const HOT_PATH_ROOTS: &[(&str, &str)] = &[
     ("Governor", "decide"),
     ("Governor", "on_framebuffer_update"),
@@ -38,6 +39,7 @@ pub const HOT_PATH_ROOTS: &[(&str, &str)] = &[
     ("FrameBuffer", "fill"),
     ("FrameBuffer", "fill_rect"),
     ("FrameBuffer", "scroll_up"),
+    ("FrameBuffer", "set_pixel"),
 ];
 
 /// The built graph: every parsed function plus the set reachable from

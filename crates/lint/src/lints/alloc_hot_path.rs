@@ -5,9 +5,9 @@
 //! (meter → section table → touch boost) to run allocation-free, so it
 //! can embed in a real compositor's frame loop. This lint flags the
 //! allocating constructors and adaptors — `Vec::new` /
-//! `Vec::with_capacity` / `vec!` / `Box::new` / `String::…` /
-//! `format!` / `.to_string()` / `.to_owned()` / `.to_vec()` /
-//! `.collect()` — but only inside functions the
+//! `Vec::with_capacity` / `vec!` / `Box::new` / `Arc::new` / `Rc::new` /
+//! `String::…` / `format!` / `.to_string()` / `.to_owned()` /
+//! `.to_vec()` / `.collect()` — but only inside functions the
 //! [`CallGraph`] proves reachable from a
 //! hot-path root. Steady-state recycling paths (`PixelPool`,
 //! `RunScratch`) justify their warm-up allocations with documented
@@ -27,7 +27,13 @@ use crate::source::SourceFile;
 const EXEMPT_PREFIXES: &[&str] = &["crates/obs/src/"];
 
 /// Types whose associated constructors allocate.
-const ALLOC_TYPES: &[&str] = &["Vec", "Box", "String", "VecDeque", "BTreeMap", "BTreeSet"];
+const ALLOC_TYPES: &[&str] = &[
+    "Vec", "Box", "Arc", "Rc", "String", "VecDeque", "BTreeMap", "BTreeSet",
+];
+
+/// Reference-counted pointers: of their associated functions only `new`
+/// allocates (`Arc::get_mut`, `Arc::strong_count`, … do not).
+const RC_TYPES: &[&str] = &["Arc", "Rc"];
 
 /// Allocating methods (called with `.name(` or `.name::<…>(`).
 const ALLOC_METHODS: &[&str] = &["to_string", "to_owned", "to_vec", "collect", "join"];
@@ -55,7 +61,9 @@ pub fn check(file: &SourceFile, graph: &CallGraph, out: &mut Vec<Diagnostic>) {
                 && toks.get(k + 2).is_some_and(|t| t.tok.is_punct(':'));
             if path_sep {
                 if let Some(m) = toks.get(k + 3).and_then(|t| t.tok.ident()) {
-                    out.push(diag(file, line, &format!("{ty}::{m}"), root));
+                    if !RC_TYPES.contains(&ty) || m == "new" {
+                        out.push(diag(file, line, &format!("{ty}::{m}"), root));
+                    }
                     continue;
                 }
             }
@@ -145,6 +153,22 @@ pub fn cold() {\n\
         assert_eq!(lines, vec![4, 5, 6, 7, 8], "{hits:?}");
         assert!(hits[0].1.contains("Vec::new"));
         assert!(hits[0].1.contains("Root::go"));
+    }
+
+    #[test]
+    fn reference_counts_allocate_only_in_new() {
+        let src = "\
+pub struct Root;\n\
+impl Root {\n\
+    pub fn go(&self) {\n\
+        let a = Arc::new(1);\n\
+        let unique = Arc::get_mut(&mut a).is_some();\n\
+        let n = Rc::strong_count(&r);\n\
+        let r = Rc::new(2);\n\
+    }\n\
+}\n";
+        let lines: Vec<u32> = run("crates/a/src/lib.rs", src).iter().map(|(l, _)| *l).collect();
+        assert_eq!(lines, vec![4, 7]);
     }
 
     #[test]

@@ -16,8 +16,12 @@
 //! exceeded, everything collapses into a single bounding rectangle. Both
 //! rules keep the representation `Copy`, allocation-free and cheap to
 //! update from per-pixel draw loops, at the cost of over-approximating
-//! scattered damage — which only ever makes the meter inspect more
-//! points, never fewer.
+//! scattered damage — which only ever makes the meter walk more grid
+//! points, never fewer. The collapse costs no pixel copies: the
+//! compositor recomposes the tiles whose stamps advanced, not the
+//! region, and the meter skips every tile in the region whose stamp did
+//! not advance (see [`tile`](crate::tile)), so a collapsed box over
+//! scattered small writes costs a wider walk over tile signatures only.
 
 use crate::geometry::Rect;
 

@@ -126,6 +126,7 @@ impl Rect {
 
     /// The overlapping region of two rectangles, or `None` if disjoint or
     /// either is empty.
+    #[inline]
     pub fn intersection(self, other: Rect) -> Option<Rect> {
         if self.is_empty() || other.is_empty() {
             return None;
@@ -143,6 +144,7 @@ impl Rect {
 
     /// The smallest rectangle containing both inputs. An empty rectangle
     /// acts as the identity.
+    #[inline]
     pub fn union(self, other: Rect) -> Rect {
         if self.is_empty() {
             return other;
@@ -159,6 +161,7 @@ impl Rect {
 
     /// Clips this rectangle to the screen bounds of `resolution`.
     /// Returns `None` if nothing remains visible.
+    #[inline]
     pub fn clipped_to(self, resolution: Resolution) -> Option<Rect> {
         self.intersection(resolution.bounds())
     }

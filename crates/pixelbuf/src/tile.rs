@@ -20,6 +20,8 @@
 //! costs a pixel descent (see `GridSampler::compare_and_capture_tiled`
 //! and DESIGN.md §12).
 
+use std::ops::Range;
+
 use crate::geometry::{Rect, Resolution};
 use crate::pixel::Pixel;
 
@@ -85,11 +87,13 @@ impl TileMap {
     }
 
     /// Tile columns.
+    #[inline]
     pub fn cols(&self) -> u32 {
         self.cols
     }
 
     /// Tile rows.
+    #[inline]
     pub fn rows(&self) -> u32 {
         self.rows
     }
@@ -99,6 +103,7 @@ impl TileMap {
     /// # Panics
     ///
     /// Panics if the tile coordinate is out of range.
+    #[inline]
     pub fn tile(&self, tx: u32, ty: u32) -> Tile {
         assert!(tx < self.cols && ty < self.rows, "tile ({tx},{ty}) out of range");
         // ccdem-lint: allow(panic) — bounds asserted on the line above.
@@ -107,6 +112,7 @@ impl TileMap {
 
     /// The pixel rectangle covered by tile `(tx, ty)` (edge tiles are
     /// clipped to the resolution).
+    #[inline]
     pub fn tile_rect(&self, tx: u32, ty: u32) -> Rect {
         tile_rect(self.resolution, tx, ty)
     }
@@ -170,6 +176,28 @@ impl TileMap {
         self.tiles.len()
     }
 
+    /// Gives the tiles at row-major indices `range` the solid signatures
+    /// of `src`'s (a map of the same resolution) and `stamp`.
+    pub(crate) fn inherit(&mut self, src: &TileMap, range: Range<usize>, stamp: u64) {
+        let (Some(dst), Some(from)) = (self.tiles.get_mut(range.clone()), src.tiles.get(range))
+        else {
+            return;
+        };
+        for (d, s) in dst.iter_mut().zip(from) {
+            *d = Tile {
+                stamp,
+                solid: s.solid,
+            };
+        }
+    }
+
+    /// Sets the signature of the tile at row-major index `i`.
+    pub(crate) fn set(&mut self, i: usize, tile: Tile) {
+        if let Some(t) = self.tiles.get_mut(i) {
+            *t = tile;
+        }
+    }
+
     /// The solid colour of the tile at row-major index `i`.
     pub(crate) fn solid_at(&self, i: usize) -> Option<Pixel> {
         self.tiles.get(i).and_then(|t| t.solid)
@@ -184,28 +212,6 @@ impl TileMap {
     /// intersecting `rect` (clipped to the resolution).
     pub(crate) fn for_each_tile(&self, rect: Rect, f: impl FnMut(usize, Rect)) {
         each_tile(self.resolution, self.cols, rect, f);
-    }
-
-    /// The pixel rect of the tiles `rect` (already clipped) covers
-    /// whole: a tile-aligned block, clipped at the screen edge, or an
-    /// empty rect at `rect`'s origin when `rect` covers no tile.
-    pub(crate) fn covered_block(&self, rect: Rect) -> Rect {
-        let axis = |lo: u32, hi: u32, size: u32| {
-            let first = lo.div_ceil(TILE_SIZE) * TILE_SIZE;
-            let end = if hi >= size {
-                size
-            } else {
-                hi / TILE_SIZE * TILE_SIZE
-            };
-            (first, end.saturating_sub(first))
-        };
-        let (x, w) = axis(rect.x, rect.right(), self.resolution.width);
-        let (y, h) = axis(rect.y, rect.bottom(), self.resolution.height);
-        if w == 0 || h == 0 {
-            Rect::new(rect.x, rect.y, 0, 0)
-        } else {
-            Rect::new(x, y, w, h)
-        }
     }
 }
 

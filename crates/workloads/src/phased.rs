@@ -328,7 +328,7 @@ mod tests {
         // A full redraw is one fill plus three 9×9 sprites. The fill
         // records one colour per tile; each sprite writes into at most
         // the four tiles it straddles, so at most 12 of the 240 tiles
-        // are materialized.
+        // are given storage.
         let mut app = crate::catalog::by_name("Asphalt 8")
             .expect("catalog game")
             .instantiate();
@@ -337,10 +337,10 @@ mod tests {
         assert_eq!(fb.tiles().cols() * fb.tiles().rows(), 240);
         for frame in 0..10 {
             app.render(ContentChange::FullRedraw, &mut fb, &mut rng);
-            let materialized = 240 - fb.pending_tile_count();
+            let materialized = 240 - fb.solid_tile_count();
             assert!(
                 (1..=12).contains(&materialized),
-                "frame {frame}: {materialized} tiles materialized"
+                "frame {frame}: {materialized} tiles stored"
             );
         }
     }

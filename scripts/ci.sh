@@ -30,6 +30,21 @@ END {
     printf "ci: decision tick: %s ticks, p99 %s µs (need >= 10000 ticks, p99 <= 200 µs)\n", ticks, p99 > "/dev/stderr"
     exit 1
 }' target/profile_ticks.txt
+# Huge durations: a --duration whose microseconds overflow, and the
+# largest u64, must exit 1 with a message on every verb — never wrap,
+# spin or abort allocating the per-second result series.
+for verb in "simulate --app Facebook" sweep fleet; do
+    for secs in 18446744073710 18446744073709551615; do
+        status=0
+        # shellcheck disable=SC2086 # the verb is deliberately split
+        timeout 30 target/release/ccdem $verb --duration "$secs" -q \
+            >/dev/null 2>target/huge_duration.txt || status=$?
+        if [ "$status" -ne 1 ] || ! grep -q -- --duration target/huge_duration.txt; then
+            echo "ci: ccdem $verb --duration $secs exited $status" >&2
+            exit 1
+        fi
+    done
+done
 # Fleet smoke: the acceptance scenario end-to-end on the release
 # binary — run a small campaign, kill a second run at its first
 # checkpoint, resume it under a different worker count, and require the

@@ -67,3 +67,50 @@ fn section_saves_more_than_boost_across_seeds() {
         );
     }
 }
+
+/// Runs `ccdem` with `args` and returns its exit code and stderr, failing
+/// the test if it is still running after `budget`.
+fn ccdem_within(args: &[&str], budget: std::time::Duration) -> (Option<i32>, String) {
+    use std::io::Read;
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ccdem"))
+        .args(args)
+        .arg("-q")
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn ccdem");
+    let start = std::time::Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait for ccdem") {
+            break status;
+        }
+        if start.elapsed() > budget {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("ccdem {args:?} still running after {budget:?}");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    if let Some(mut pipe) = child.stderr.take() {
+        pipe.read_to_string(&mut stderr).expect("read stderr");
+    }
+    (status.code(), stderr)
+}
+
+/// A duration whose microseconds overflow `u64`, and the largest `u64`:
+/// both used to wrap silently, spin for ever or abort allocating the
+/// per-second result series.
+#[test]
+fn huge_durations_exit_with_a_message() {
+    let verbs: [&[&str]; 3] = [&["simulate", "--app", "Facebook"], &["sweep"], &["fleet"]];
+    for verb in verbs {
+        for secs in ["18446744073710", "18446744073709551615"] {
+            let args: Vec<&str> = verb.iter().copied().chain(["--duration", secs]).collect();
+            let (code, stderr) = ccdem_within(&args, std::time::Duration::from_secs(20));
+            assert_eq!(code, Some(1), "{args:?}: stderr {stderr:?}");
+            assert!(stderr.contains("--duration"), "{args:?}: stderr {stderr:?}");
+        }
+    }
+}
