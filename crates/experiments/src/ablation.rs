@@ -15,39 +15,18 @@
 use std::fmt;
 
 use ccdem_core::governor::{GovernorConfig, Policy};
+use ccdem_metrics::table::TextTable;
 use ccdem_obs::Obs;
 use ccdem_power::model::PowerCoefficients;
-use ccdem_metrics::table::TextTable;
-use ccdem_simkit::parallel::ParallelRunner;
 use ccdem_simkit::time::{SimDuration, SimTime};
 use ccdem_workloads::catalog;
 
-use crate::campaign::CampaignStats;
-use crate::scenario::{scaled_budget, RunScratch, Scenario, Workload};
-use ccdem_pixelbuf::geometry::Resolution;
+use crate::campaign::{run_paired, CampaignStats, GridConfig};
+use crate::scenario::{Scenario, Workload};
 
-/// Configuration for the ablation sweeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AblationConfig {
-    /// Run length per configuration.
-    pub duration: SimDuration,
-    /// Root seed. Every point in a sweep replays the same seeded script,
-    /// so points differ only in the knob under study.
-    pub seed: u64,
-    /// Worker threads; `0` = all available cores, `1` = serial. Results
-    /// are identical for every value.
-    pub jobs: usize,
-}
-
-impl Default for AblationConfig {
-    fn default() -> Self {
-        AblationConfig {
-            duration: SimDuration::from_secs(30),
-            seed: 77,
-            jobs: 0,
-        }
-    }
-}
+/// The ablations' default root seed. Every point of every sweep replays
+/// the same seeded script, so points differ only in the knob under study.
+pub const DEFAULT_SEED: u64 = 77;
 
 /// One configuration's outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,242 +75,167 @@ impl fmt::Display for Ablation {
     }
 }
 
-/// Measures every `(label, governor)` point of a sweep, fanning the
-/// independent runs out over `config.jobs` workers. Points share the
-/// sweep's root seed (each point replays the same script with a different
-/// knob setting), and results come back in input order, so the sweep is
-/// identical for any worker count.
-fn measure_all(
-    config: &AblationConfig,
-    items: Vec<(String, GovernorConfig)>,
-) -> Vec<AblationPoint> {
-    ParallelRunner::new(config.jobs)
-        .run_many_with(items, RunScratch::new, |scratch, _, (label, governor)| {
-            measure(config, label, governor, scratch)
-        })
+/// The design knobs the ablations sweep, in report order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Knob {
+    /// Control-window length (paper default: 500 ms).
+    ControlWindow,
+    /// Grid pixel budget (paper default: 9K of 921K pixels).
+    GridBudget,
+    /// Touch-boost hold time (default: 400 ms).
+    BoostHold,
+    /// Rate-mapping rule: paper Eq. 1 vs the rejected naive matcher.
+    MapperRule,
+    /// EWMA content-rate smoothing weight (extension; 1.0 = the paper's
+    /// unsmoothed behaviour).
+    Smoothing,
+    /// Down-switch dwell count (extension; 1 = the paper's undamped
+    /// behaviour).
+    DownDwell,
+    /// Panel-self-refresh discount of the power model (extension): the
+    /// more link traffic a PSR panel already skips for unchanged frames,
+    /// the less the refresh-rate governor has left to save — quantifying
+    /// how the paper's 2012-era gains shrink on modern command-mode
+    /// panels.
+    Psr,
 }
 
-fn measure(
-    config: &AblationConfig,
-    label: String,
-    governor: GovernorConfig,
-    scratch: &mut RunScratch,
-) -> AblationPoint {
-    let mut scenario = Scenario::new(
-        Workload::App(catalog::jelly_splash()),
-        governor.policy(),
-    )
-    .at_quarter_resolution()
-    .with_duration(config.duration)
-    .with_seed(config.seed);
-    // Preserve the grid budget the caller chose (at_quarter_resolution
-    // rescales the default; apply the explicit one scaled the same way).
-    scenario.governor = GovernorConfig::new(governor.policy())
-        .with_control_window(governor.control_window())
-        .with_grid_budget(scaled_budget(Resolution::QUARTER, governor.grid_budget()))
-        .with_boost_hold(governor.boost_hold())
-        .with_smoothing_alpha(governor.smoothing_alpha())
-        .with_down_dwell(governor.down_dwell());
-    let (governed, baseline) = scenario.run_with_baseline_scratch(scratch);
-    AblationPoint {
-        label,
-        saved_mw: baseline.avg_power_mw - governed.avg_power_mw,
-        quality_pct: governed.quality_pct(),
-        dropped_fps: governed.dropped_fps(),
-        switches: governed.refresh_switches,
+impl Knob {
+    /// Every knob, in report order.
+    pub const ALL: [Knob; 7] = [
+        Knob::ControlWindow,
+        Knob::GridBudget,
+        Knob::BoostHold,
+        Knob::MapperRule,
+        Knob::Smoothing,
+        Knob::DownDwell,
+        Knob::Psr,
+    ];
+
+    /// What the sweep varies, as its report title.
+    fn name(self) -> &'static str {
+        match self {
+            Knob::ControlWindow => "control window length",
+            Knob::GridBudget => "grid comparison pixel budget",
+            Knob::BoostHold => "touch boost hold time",
+            Knob::MapperRule => "rate-mapping rule",
+            Knob::Smoothing => "content-rate EWMA smoothing",
+            Knob::DownDwell => "down-switch hysteresis dwell",
+            Knob::Psr => "panel self-refresh interaction",
+        }
+    }
+
+    /// The sweep's `(label, scenario)` points at quarter resolution, in
+    /// sweep order. Duration and seed come from the [`GridConfig`].
+    fn points(self) -> Vec<(String, Scenario)> {
+        let boost = || GovernorConfig::new(Policy::SectionWithBoost);
+        // Every governor knob runs on Jelly Splash, the representative
+        // interactive workload.
+        let knob = |label: String, governor: GovernorConfig| {
+            let mut scenario =
+                Scenario::new(Workload::App(catalog::jelly_splash()), governor.policy());
+            scenario.governor = governor;
+            (label, scenario.at_quarter_resolution())
+        };
+        match self {
+            Knob::ControlWindow => [125u64, 250, 500, 1_000, 2_000]
+                .map(|ms| {
+                    knob(
+                        format!("{ms} ms window"),
+                        boost().with_control_window(SimDuration::from_millis(ms)),
+                    )
+                })
+                .into(),
+            Knob::GridBudget => [2_304usize, 4_080, 9_216, 36_864, 921_600]
+                .map(|budget| {
+                    knob(
+                        format!("{budget} px grid"),
+                        boost().with_grid_budget(budget),
+                    )
+                })
+                .into(),
+            Knob::BoostHold => [0u64, 200, 400, 800, 1_600, 3_200]
+                .map(|ms| {
+                    knob(
+                        format!("{ms} ms hold"),
+                        boost().with_boost_hold(SimDuration::from_millis(ms)),
+                    )
+                })
+                .into(),
+            Knob::MapperRule => [
+                (Policy::NaiveMatch, "naive rate matching"),
+                (Policy::SectionOnly, "section table (Eq. 1)"),
+                (Policy::SectionWithBoost, "section table + boost"),
+            ]
+            .map(|(policy, label)| knob(label.to_string(), GovernorConfig::new(policy)))
+            .into(),
+            Knob::Smoothing => [1.0f64, 0.7, 0.5, 0.3, 0.15]
+                .map(|alpha| {
+                    knob(
+                        format!("alpha {alpha}"),
+                        boost().with_smoothing_alpha(alpha),
+                    )
+                })
+                .into(),
+            Knob::DownDwell => [1u32, 2, 3, 5]
+                .map(|dwell| knob(format!("dwell {dwell}"), boost().with_down_dwell(dwell)))
+                .into(),
+            // Facebook, not Jelly Splash: PSR only helps on refresh
+            // cycles with no new framebuffer write, so a 60 fps-submitting
+            // game (every cycle receives a frame, however redundant) is
+            // unaffected — the idle app whose panel mostly self-refreshes
+            // is where the interaction lives.
+            Knob::Psr => [0.0f64, 0.25, 0.5, 0.75, 1.0]
+                .map(|discount| {
+                    let mut scenario =
+                        Scenario::new(Workload::App(catalog::facebook()), Policy::SectionWithBoost);
+                    scenario.power = PowerCoefficients::galaxy_s3().with_psr_discount(discount);
+                    (
+                        format!("PSR discount {discount}"),
+                        scenario.at_quarter_resolution(),
+                    )
+                })
+                .into(),
+        }
     }
 }
 
-/// Sweeps the control-window length (paper default: 500 ms).
-pub fn control_window_sweep(config: &AblationConfig) -> Ablation {
-    let items = [125u64, 250, 500, 1_000, 2_000]
-        .iter()
-        .map(|&ms| {
-            (
-                format!("{ms} ms window"),
-                GovernorConfig::new(Policy::SectionWithBoost)
-                    .with_control_window(SimDuration::from_millis(ms)),
-            )
-        })
-        .collect();
-    let points = measure_all(config, items);
-    Ablation {
-        name: "control window length".into(),
-        points,
+/// Runs the sweeps of `knobs`, in order: every point of every sweep and
+/// its fixed-max baseline twin go through one parallel pass of the
+/// campaign runner, and the results are identical for any worker count.
+///
+/// After the pass, each point emits one `ablation.point` telemetry event
+/// on `obs` (sim-time zero: points summarise whole runs rather than
+/// moments inside one), folds into a [`CampaignStats`] and emits a
+/// `campaign.progress` line (running count plus headline percentiles —
+/// `saved_p50_mw` rather than the power percentiles a sweep campaign
+/// reports; no `total` field), in input order; one `campaign.end`
+/// follows the last point. Telemetry never feeds back into the runs, so
+/// the returned ablations are identical whether `obs` is enabled or not.
+pub fn run(config: &GridConfig, knobs: &[Knob], obs: &Obs) -> Vec<Ablation> {
+    let mut labels = Vec::with_capacity(knobs.len());
+    let mut scenarios = Vec::new();
+    for knob in knobs {
+        let (names, points): (Vec<String>, Vec<Scenario>) = knob.points().into_iter().unzip();
+        labels.push(names);
+        scenarios.extend(points);
     }
-}
-
-/// Sweeps the grid pixel budget (paper default: 9K of 921K pixels).
-pub fn grid_budget_sweep(config: &AblationConfig) -> Ablation {
-    let items = [2_304usize, 4_080, 9_216, 36_864, 921_600]
-        .iter()
-        .map(|&budget| {
-            (
-                format!("{budget} px grid"),
-                GovernorConfig::new(Policy::SectionWithBoost).with_grid_budget(budget),
-            )
-        })
-        .collect();
-    let points = measure_all(config, items);
-    Ablation {
-        name: "grid comparison pixel budget".into(),
-        points,
-    }
-}
-
-/// Sweeps the touch-boost hold time (default: 400 ms).
-pub fn boost_hold_sweep(config: &AblationConfig) -> Ablation {
-    let items = [0u64, 200, 400, 800, 1_600, 3_200]
-        .iter()
-        .map(|&ms| {
-            (
-                format!("{ms} ms hold"),
-                GovernorConfig::new(Policy::SectionWithBoost)
-                    .with_boost_hold(SimDuration::from_millis(ms)),
-            )
-        })
-        .collect();
-    let points = measure_all(config, items);
-    Ablation {
-        name: "touch boost hold time".into(),
-        points,
-    }
-}
-
-/// Compares the rate-mapping rules (paper Eq. 1 vs the rejected naive
-/// matcher) and the baseline.
-pub fn mapper_rule_compare(config: &AblationConfig) -> Ablation {
-    let items = [
-        (Policy::NaiveMatch, "naive rate matching"),
-        (Policy::SectionOnly, "section table (Eq. 1)"),
-        (Policy::SectionWithBoost, "section table + boost"),
-    ]
-    .iter()
-    .map(|&(policy, label)| (label.to_string(), GovernorConfig::new(policy)))
-    .collect();
-    let points = measure_all(config, items);
-    Ablation {
-        name: "rate-mapping rule".into(),
-        points,
-    }
-}
-
-/// Sweeps the EWMA content-rate smoothing weight (extension; 1.0 = the
-/// paper's unsmoothed behaviour).
-pub fn smoothing_sweep(config: &AblationConfig) -> Ablation {
-    let items = [1.0f64, 0.7, 0.5, 0.3, 0.15]
-        .iter()
-        .map(|&alpha| {
-            (
-                format!("alpha {alpha}"),
-                GovernorConfig::new(Policy::SectionWithBoost).with_smoothing_alpha(alpha),
-            )
-        })
-        .collect();
-    let points = measure_all(config, items);
-    Ablation {
-        name: "content-rate EWMA smoothing".into(),
-        points,
-    }
-}
-
-/// Sweeps the down-switch dwell count (extension; 1 = the paper's
-/// undamped behaviour).
-pub fn down_dwell_sweep(config: &AblationConfig) -> Ablation {
-    let items = [1u32, 2, 3, 5]
-        .iter()
-        .map(|&dwell| {
-            (
-                format!("dwell {dwell}"),
-                GovernorConfig::new(Policy::SectionWithBoost).with_down_dwell(dwell),
-            )
-        })
-        .collect();
-    let points = measure_all(config, items);
-    Ablation {
-        name: "down-switch hysteresis dwell".into(),
-        points,
-    }
-}
-
-/// Sweeps the panel-self-refresh discount of the power model
-/// (extension): the more link traffic a PSR panel already skips for
-/// unchanged frames, the less the refresh-rate governor has left to
-/// save — quantifying how the paper's 2012-era gains shrink on modern
-/// command-mode panels.
-pub fn psr_sweep(config: &AblationConfig) -> Ablation {
-    // Facebook, not Jelly Splash: PSR only helps on refresh cycles with
-    // no new framebuffer write, so a 60 fps-submitting game (every cycle
-    // receives a frame, however redundant) is unaffected — the idle app
-    // whose panel mostly self-refreshes is where the interaction lives.
-    let points = ParallelRunner::new(config.jobs).run_many_with(
-        vec![0.0f64, 0.25, 0.5, 0.75, 1.0],
-        RunScratch::new,
-        |scratch, _, discount| {
-            let mut scenario = Scenario::new(
-                Workload::App(catalog::facebook()),
-                Policy::SectionWithBoost,
-            )
-            .at_quarter_resolution()
-            .with_duration(config.duration)
-            .with_seed(config.seed);
-            scenario.power = PowerCoefficients::galaxy_s3().with_psr_discount(discount);
-            let (governed, baseline) = scenario.run_with_baseline_scratch(scratch);
-            AblationPoint {
-                label: format!("PSR discount {discount}"),
+    let mut pairs = run_paired(config, scenarios).into_iter();
+    let mut campaign = CampaignStats::new();
+    let mut ablations = Vec::with_capacity(knobs.len());
+    for (knob, names) in knobs.iter().zip(labels) {
+        let mut ablation = Ablation {
+            name: knob.name().into(),
+            points: Vec::with_capacity(names.len()),
+        };
+        for (label, (governed, baseline)) in names.into_iter().zip(&mut pairs) {
+            let point = AblationPoint {
+                label,
                 saved_mw: baseline.avg_power_mw - governed.avg_power_mw,
                 quality_pct: governed.quality_pct(),
                 dropped_fps: governed.dropped_fps(),
                 switches: governed.refresh_switches,
-            }
-        },
-    );
-    Ablation {
-        name: "panel self-refresh interaction".into(),
-        points,
-    }
-}
-
-/// Runs every ablation.
-///
-/// Emits one `ablation.point` telemetry event per measured configuration
-/// on `obs` (sim-time zero: ablation points summarise whole runs rather
-/// than moments inside one). Telemetry never feeds back into the sweeps,
-/// so the returned ablations are identical whether `obs` is enabled or
-/// not.
-pub fn run_all(config: &AblationConfig, obs: &Obs) -> Vec<Ablation> {
-    run_all_with_campaign(config, obs).0
-}
-
-/// [`run_all`], additionally folding every measured point into a
-/// streaming [`CampaignStats`] as each ablation completes.
-///
-/// Points fold in as the campaign advances through the seven sweeps, so
-/// a live sink sees a `campaign.progress` line (running count plus
-/// headline percentiles — `saved_p50_mw` rather than the power
-/// percentiles a sweep campaign reports) after each `ablation.point`,
-/// and a final `campaign.end` once all sweeps are in. The total point
-/// count is not known up front, so progress lines omit the `total`
-/// field. Folding is order-independent, hence the returned statistics
-/// are identical for any worker count.
-pub fn run_all_with_campaign(
-    config: &AblationConfig,
-    obs: &Obs,
-) -> (Vec<Ablation>, CampaignStats) {
-    let sweeps: [fn(&AblationConfig) -> Ablation; 7] = [
-        control_window_sweep,
-        grid_budget_sweep,
-        boost_hold_sweep,
-        mapper_rule_compare,
-        smoothing_sweep,
-        down_dwell_sweep,
-        psr_sweep,
-    ];
-    let mut campaign = CampaignStats::new();
-    let mut ablations = Vec::with_capacity(sweeps.len());
-    for sweep in sweeps {
-        let ablation = sweep(config);
-        for point in &ablation.points {
+            };
             obs.emit("ablation.point", SimTime::ZERO, |event| {
                 event
                     .field("sweep", ablation.name.clone())
@@ -341,30 +245,34 @@ pub fn run_all_with_campaign(
                     .field("dropped_fps", point.dropped_fps)
                     .field("switches", point.switches);
             });
-            campaign.observe_point(point);
+            campaign.observe_point(&point);
             campaign.emit_progress(obs, 0);
+            ablation.points.push(point);
         }
         ablations.push(ablation);
     }
     campaign.emit_end(obs);
-    (ablations, campaign)
+    ablations
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn cfg() -> AblationConfig {
-        AblationConfig {
+    /// One sweep of the table, run alone.
+    fn sweep(knob: Knob) -> Ablation {
+        let config = GridConfig {
             duration: SimDuration::from_secs(10),
-            seed: 31,
-            jobs: 0,
-        }
+            ..GridConfig::new(31)
+        };
+        let mut ablations = run(&config, &[knob], &Obs::disabled());
+        assert_eq!(ablations.len(), 1);
+        ablations.remove(0)
     }
 
     #[test]
     fn window_sweep_runs_all_points() {
-        let a = control_window_sweep(&cfg());
+        let a = sweep(Knob::ControlWindow);
         assert_eq!(a.points.len(), 5);
         for p in &a.points {
             assert!(p.saved_mw > 0.0, "{}: saved {:.0} mW", p.label, p.saved_mw);
@@ -373,7 +281,7 @@ mod tests {
 
     #[test]
     fn longer_windows_switch_less() {
-        let a = control_window_sweep(&cfg());
+        let a = sweep(Knob::ControlWindow);
         let first = a.points.first().unwrap().switches;
         let last = a.points.last().unwrap().switches;
         assert!(
@@ -384,14 +292,14 @@ mod tests {
 
     #[test]
     fn budget_sweep_keeps_quality_high_at_9k() {
-        let a = grid_budget_sweep(&cfg());
+        let a = sweep(Knob::GridBudget);
         let p9k = &a.points[2];
         assert!(p9k.quality_pct > 90.0, "9K grid quality {:.1}%", p9k.quality_pct);
     }
 
     #[test]
     fn zero_hold_drops_most_frames() {
-        let a = boost_hold_sweep(&cfg());
+        let a = sweep(Knob::BoostHold);
         let zero = a.points.first().unwrap();
         let long = a.points.last().unwrap();
         assert!(
@@ -406,7 +314,7 @@ mod tests {
 
     #[test]
     fn mapper_compare_orders_policies() {
-        let a = mapper_rule_compare(&cfg());
+        let a = sweep(Knob::MapperRule);
         let naive = &a.points[0];
         let boost = &a.points[2];
         assert!(boost.quality_pct >= naive.quality_pct);
@@ -415,7 +323,7 @@ mod tests {
 
     #[test]
     fn smoothing_reduces_switches() {
-        let a = smoothing_sweep(&cfg());
+        let a = sweep(Knob::Smoothing);
         let raw = a.points.first().unwrap();
         let smooth = a.points.last().unwrap();
         assert!(
@@ -428,7 +336,7 @@ mod tests {
 
     #[test]
     fn dwell_reduces_switches_and_costs_savings() {
-        let a = down_dwell_sweep(&cfg());
+        let a = sweep(Knob::DownDwell);
         let undamped = a.points.first().unwrap();
         let damped = a.points.last().unwrap();
         assert!(damped.switches <= undamped.switches);
@@ -438,7 +346,7 @@ mod tests {
 
     #[test]
     fn psr_shrinks_but_keeps_savings() {
-        let a = psr_sweep(&cfg());
+        let a = sweep(Knob::Psr);
         let no_psr = a.points.first().unwrap();
         let full_psr = a.points.last().unwrap();
         assert!(
@@ -452,8 +360,40 @@ mod tests {
     }
 
     #[test]
+    fn each_point_emits_its_event_and_progress_line_in_order() {
+        use ccdem_obs::{RingSink, Value};
+        use std::sync::Arc;
+
+        let sink = Arc::new(RingSink::new(64));
+        let config = GridConfig {
+            duration: SimDuration::from_secs(2),
+            ..GridConfig::new(31)
+        };
+        let ablations = run(
+            &config,
+            &[Knob::MapperRule, Knob::DownDwell],
+            &Obs::to_sink(sink.clone()),
+        );
+        let names: Vec<&str> = sink.events().iter().map(|e| e.name).collect();
+        let point_then_progress = ["ablation.point", "campaign.progress"];
+        let expected: Vec<&str> = std::iter::repeat_n(point_then_progress, 3 + 4)
+            .flatten()
+            .chain(["campaign.end"])
+            .collect();
+        assert_eq!(names, expected);
+        let labels: Vec<Value> = sink
+            .events()
+            .iter()
+            .filter_map(|e| e.get("label").cloned())
+            .collect();
+        let points = ablations.iter().flat_map(|a| &a.points);
+        let in_order: Vec<Value> = points.map(|p| Value::from(p.label.clone())).collect();
+        assert_eq!(labels, in_order);
+    }
+
+    #[test]
     fn reports_render() {
-        let a = mapper_rule_compare(&cfg());
+        let a = sweep(Knob::MapperRule);
         let s = a.to_string();
         assert!(s.contains("naive rate matching"));
         assert!(s.contains("quality"));

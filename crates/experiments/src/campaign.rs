@@ -1,8 +1,15 @@
-//! Streaming campaign statistics: fleet-style aggregation over many runs.
+//! Campaigns: the one scenario-list runner and streaming statistics.
 //!
-//! A sweep or ablation is a *campaign* of independent runs. Instead of
-//! buffering every [`RunResult`] to compute percentiles at the end, a
-//! [`CampaignStats`] folds each result into fixed-size
+//! A sweep, an ablation or a generalization grid is a *campaign* of
+//! independent runs. Each experiment materializes its runs as a list of
+//! [`Scenario`]s and hands it to one function, `run_scenarios`, which
+//! runs the list in one parallel pass (one [`RunScratch`] per worker) and
+//! returns the results in input order. The paired experiments go through
+//! `run_paired`, which appends each scenario's fixed-max baseline twin
+//! to the same pass.
+//!
+//! Instead of buffering every [`RunResult`] to compute percentiles at
+//! the end, a [`CampaignStats`] folds each result into fixed-size
 //! [`QuantileSketch`]es the moment it completes, so a campaign of any
 //! length aggregates in O(buckets) memory and two half-finished
 //! campaigns (e.g. per-worker or per-shard partials) merge exactly.
@@ -26,15 +33,109 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+// ccdem-lint: allow(determinism) — wall-clock feeds TimingReport only,
+// never a RunResult (asserted by the `obs_determinism` test).
+use std::time::Instant;
 
 use ccdem_metrics::table::TextTable;
+use ccdem_metrics::timing::{RunTiming, TimingReport};
 use ccdem_obs::json::Json;
 use ccdem_obs::sketch::MergeOverflow;
 use ccdem_obs::{Obs, QuantileSketch};
-use ccdem_simkit::time::SimTime;
+use ccdem_simkit::parallel::ParallelRunner;
+use ccdem_simkit::time::{SimDuration, SimTime};
 
 use crate::ablation::AblationPoint;
-use crate::scenario::RunResult;
+use crate::scenario::{RunResult, RunScratch, Scenario};
+
+/// Configuration of a paired-run grid: the ablation sweeps and the
+/// device-generalization grid. Every scenario of a grid replays the same
+/// seeded script, so its cells differ only in the knob or device under
+/// study.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GridConfig {
+    /// Run length per scenario.
+    pub duration: SimDuration,
+    /// Root seed, shared by every scenario of the grid.
+    pub seed: u64,
+    /// Worker threads; `0` = all available cores, `1` = serial. Results
+    /// are identical for every value.
+    pub jobs: usize,
+}
+
+impl GridConfig {
+    /// 30-second runs rooted at `seed`, on every available core.
+    pub fn new(seed: u64) -> GridConfig {
+        GridConfig {
+            duration: SimDuration::from_secs(30),
+            seed,
+            jobs: 0,
+        }
+    }
+}
+
+/// Runs every scenario on `jobs` workers (`0` = all available cores) and
+/// returns the results in input order, plus each run's host timing.
+///
+/// The runs go through [`ParallelRunner::run_many_observed`] with one
+/// [`RunScratch`] per worker. A result depends only on its scenario —
+/// never on the worker, the scratch's history or the completion order —
+/// so the returned results are identical for every `jobs`.
+///
+/// `observe(&result)` runs on the calling thread as each run
+/// completes, in completion order: it suits order-independent folds such
+/// as [`CampaignStats::observe_run`] and live progress lines.
+pub(crate) fn run_scenarios(
+    jobs: usize,
+    scenarios: Vec<Scenario>,
+    mut observe: impl FnMut(&RunResult),
+) -> (Vec<RunResult>, TimingReport) {
+    let runner = ParallelRunner::new(jobs);
+    let started = Instant::now(); // ccdem-lint: allow(determinism) — timing only
+    let runs = runner.run_many_observed(
+        scenarios,
+        RunScratch::new,
+        |scratch, _, scenario| {
+            let run_started = Instant::now(); // ccdem-lint: allow(determinism) — timing only
+            let result = scenario.run_with_scratch(scratch);
+            let label = format!("{} / {}", result.app_name, scenario.governor.policy());
+            (result, RunTiming::new(label, run_started.elapsed()))
+        },
+        |_, (result, _)| observe(result),
+    );
+    let mut report = TimingReport::new(runner.jobs());
+    let results = runs
+        .into_iter()
+        .map(|(result, timing)| {
+            report.push(timing);
+            result
+        })
+        .collect();
+    report.finish(started.elapsed());
+    (results, report)
+}
+
+/// Runs each scenario, with `config`'s duration and seed, together with
+/// its [`baseline_twin`](Scenario::baseline_twin) in one
+/// [`run_scenarios`] pass, and returns the `(governed, baseline)` pairs
+/// in input order.
+pub(crate) fn run_paired(
+    config: &GridConfig,
+    scenarios: Vec<Scenario>,
+) -> Vec<(RunResult, RunResult)> {
+    let twins = scenarios
+        .into_iter()
+        .flat_map(|scenario| {
+            let governed = scenario
+                .with_duration(config.duration)
+                .with_seed(config.seed);
+            let baseline = governed.baseline_twin();
+            [governed, baseline]
+        })
+        .collect();
+    let mut runs = run_scenarios(config.jobs, twins, |_| {}).0.into_iter();
+    std::iter::from_fn(|| Some((runs.next()?, runs.next()?))).collect()
+}
 
 /// Fixed-point ticks per natural unit.
 const SCALE: f64 = 1000.0;

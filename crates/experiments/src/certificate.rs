@@ -162,7 +162,6 @@ pub fn issue(config: &CertificateConfig) -> Certificate {
         quarter_resolution: true,
         jobs: 0,
         naive_metering: false,
-        profile: false,
     });
     let mean_saved = |class: AppClass| {
         let members = s.class(class);

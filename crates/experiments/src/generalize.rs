@@ -12,34 +12,14 @@ use ccdem_core::governor::{GovernorConfig, Policy};
 use ccdem_metrics::table::TextTable;
 use ccdem_panel::device::DeviceProfile;
 use ccdem_pixelbuf::geometry::Resolution;
-use ccdem_simkit::parallel::ParallelRunner;
-use ccdem_simkit::time::SimDuration;
 use ccdem_workloads::catalog;
 
-use crate::scenario::{scaled_budget, RunScratch, Scenario, Workload};
+use crate::campaign::{run_paired, GridConfig};
+use crate::scenario::{scaled_budget, Scenario, Workload};
 
-/// Configuration for the generalization sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GeneralizeConfig {
-    /// Per-(device, app) run length.
-    pub duration: SimDuration,
-    /// Root seed, shared by every (device, app) cell so behaviour differs
-    /// only by device and app.
-    pub seed: u64,
-    /// Worker threads; `0` = all available cores, `1` = serial. Results
-    /// are identical for every value.
-    pub jobs: usize,
-}
-
-impl Default for GeneralizeConfig {
-    fn default() -> Self {
-        GeneralizeConfig {
-            duration: SimDuration::from_secs(30),
-            seed: 55,
-            jobs: 0,
-        }
-    }
-}
+/// The grid's default root seed, shared by every (device, app) cell so
+/// behaviour differs only by device and app.
+pub const DEFAULT_SEED: u64 = 55;
 
 /// One (device, app) outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,46 +64,50 @@ pub fn devices() -> Vec<DeviceProfile> {
     ]
 }
 
-/// Runs the sweep. Devices run at quarter-of-their-native resolution to
-/// keep the pixel work bounded; temporal behaviour is unchanged.
-pub fn run(config: &GeneralizeConfig) -> Generalize {
-    let cells: Vec<(DeviceProfile, ccdem_workloads::phased::AppSpec)> = devices()
+/// Runs the grid: every (device, app) cell and its fixed-max baseline
+/// twin in one parallel pass of the campaign runner. Devices run at
+/// quarter-of-their-native resolution to keep the pixel work bounded;
+/// temporal behaviour is unchanged.
+pub fn run(config: &GridConfig) -> Generalize {
+    let scenarios: Vec<Scenario> = devices()
         .into_iter()
         .flat_map(|device| {
-            app_slice()
-                .into_iter()
-                .map(move |spec| (device.clone(), spec))
+            let native = device.resolution();
+            let quarter = Resolution::new((native.width / 4).max(32), (native.height / 4).max(32));
+            app_slice().into_iter().map(move |spec| {
+                let mut scenario = Scenario::new(Workload::App(spec), Policy::SectionWithBoost);
+                scenario.device = device.with_resolution(quarter);
+                scenario.governor = GovernorConfig::new(Policy::SectionWithBoost)
+                    .with_grid_budget(scaled_budget(quarter, 9_216));
+                scenario
+            })
         })
         .collect();
-    let runs = ParallelRunner::new(config.jobs).run_many_with(cells, RunScratch::new, |scratch, _, (device, spec)| {
-        let native = device.resolution();
-        let quarter = Resolution::new(
-            (native.width / 4).max(32),
-            (native.height / 4).max(32),
-        );
-        let app = spec.name.clone();
-        let mut scenario = Scenario::new(
-            Workload::App(spec),
-            Policy::SectionWithBoost,
-        )
-        .with_duration(config.duration)
-        .with_seed(config.seed);
-        scenario.device = device.with_resolution(quarter);
-        scenario.governor = GovernorConfig::new(Policy::SectionWithBoost)
-            .with_grid_budget(scaled_budget(quarter, 9_216));
-        let (governed, baseline) = scenario.run_with_baseline_scratch(scratch);
-        DeviceRun {
-            device: device.name().to_string(),
+    let cells: Vec<(String, String, u32)> = scenarios
+        .iter()
+        .map(|s| {
+            let device = &s.device;
+            (
+                device.name().to_string(),
+                s.workload.name().to_string(),
+                device.rates().max().hz(),
+            )
+        })
+        .collect();
+    let runs = cells
+        .into_iter()
+        .zip(run_paired(config, scenarios))
+        .map(|((device, app, max_hz), (governed, baseline))| DeviceRun {
+            device,
             app,
-            max_hz: device.rates().max().hz(),
+            max_hz,
             saved_mw: baseline.avg_power_mw - governed.avg_power_mw,
-            saved_pct: (baseline.avg_power_mw - governed.avg_power_mw)
-                / baseline.avg_power_mw
+            saved_pct: (baseline.avg_power_mw - governed.avg_power_mw) / baseline.avg_power_mw
                 * 100.0,
             quality_pct: governed.quality_pct(),
             avg_refresh_hz: governed.avg_refresh_hz,
-        }
-    });
+        })
+        .collect();
     Generalize { runs }
 }
 
@@ -165,12 +149,12 @@ impl fmt::Display for Generalize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccdem_simkit::time::SimDuration;
 
     fn quick() -> Generalize {
-        run(&GeneralizeConfig {
+        run(&GridConfig {
             duration: SimDuration::from_secs(10),
-            seed: 56,
-            jobs: 0,
+            ..GridConfig::new(56)
         })
     }
 

@@ -261,13 +261,22 @@ impl Scenario {
     /// storage through `scratch`; both twins share the same pool.
     pub fn run_with_baseline_scratch(&self, scratch: &mut RunScratch) -> (RunResult, RunResult) {
         let governed = self.run_with_scratch(scratch);
+        (governed, self.baseline_twin().run_with_scratch(scratch))
+    }
+
+    /// This scenario's fixed-max baseline twin: the same device,
+    /// workload, seed and power model, the same control window, grid
+    /// budget, boost hold and metering mode, under
+    /// [`Policy::FixedMax`]. Every paired experiment measures its
+    /// savings against this twin.
+    pub(crate) fn baseline_twin(&self) -> Scenario {
         let mut baseline = self.clone();
         baseline.governor = GovernorConfig::new(Policy::FixedMax)
             .with_control_window(self.governor.control_window())
             .with_grid_budget(self.governor.grid_budget())
             .with_boost_hold(self.governor.boost_hold())
             .with_naive_metering(self.governor.naive_metering());
-        (governed, baseline.run_with_scratch(scratch))
+        baseline
     }
 }
 

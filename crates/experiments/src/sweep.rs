@@ -12,24 +12,20 @@
 //!   application class.
 
 use std::fmt;
-// ccdem-lint: allow(determinism) — wall-clock feeds TimingReport only,
-// never a RunResult (asserted by the `obs_determinism` test).
-use std::time::Instant;
 
 use ccdem_core::governor::Policy;
 use ccdem_metrics::summary::{AppRunSummary, ClassAggregate};
-use ccdem_obs::Obs;
 use ccdem_metrics::table::TextTable;
-use ccdem_metrics::timing::{RunTiming, TimingReport};
+use ccdem_metrics::timing::TimingReport;
+use ccdem_obs::Obs;
 use ccdem_simkit::parallel::{derive_seed, ParallelRunner};
 use ccdem_simkit::stats::quantile;
-use ccdem_simkit::time::SimDuration;
+use ccdem_simkit::time::{SimDuration, SimTime};
 use ccdem_workloads::app::AppClass;
 use ccdem_workloads::catalog;
-use ccdem_workloads::phased::AppSpec;
 
-use crate::campaign::CampaignStats;
-use crate::scenario::{RunResult, RunScratch, Scenario, Workload};
+use crate::campaign::{run_scenarios, CampaignStats};
+use crate::scenario::{RunResult, Scenario, Workload};
 
 /// The two governed policies evaluated against the baseline.
 pub const EVALUATED_POLICIES: [Policy; 2] = [Policy::SectionOnly, Policy::SectionWithBoost];
@@ -53,10 +49,6 @@ pub struct SweepConfig {
     /// double-gather metering). Results are bit-identical to the fast
     /// path; used by equivalence tests and the benchmark harness.
     pub naive_metering: bool,
-    /// Profile the decision path of every run into the global
-    /// `profile.*` sketches (see [`Profiler`](crate::profile::Profiler)).
-    /// Strictly outward: results are byte-identical either way.
-    pub profile: bool,
 }
 
 impl Default for SweepConfig {
@@ -67,7 +59,6 @@ impl Default for SweepConfig {
             quarter_resolution: true,
             jobs: 0,
             naive_metering: false,
-            profile: false,
         }
     }
 }
@@ -142,31 +133,23 @@ pub fn run(config: &SweepConfig) -> Sweep {
 }
 
 /// Runs the sweep and also reports how long each run took on the host.
-///
-/// The 90 `(app, policy)` scenarios are independent, so they are fanned
-/// out over a [`ParallelRunner`] with `config.jobs` workers. Each run's
-/// seed is [`derive_seed`]`(config.seed, app_index)` — a pure function of
-/// the work item, never of worker identity or completion order — and
-/// results are collected in input order, so the returned [`Sweep`] is
-/// identical for any worker count.
 pub fn run_timed(config: &SweepConfig) -> (Sweep, TimingReport) {
-    run_timed_with_obs(config, &Obs::disabled())
-}
-
-/// [`run_timed`], with every run's telemetry routed through `obs`.
-///
-/// Worker threads emit into the shared sink concurrently, so the
-/// inter-run interleaving of exported events is nondeterministic — but
-/// the simulations themselves never read from the sink, so the returned
-/// [`Sweep`] stays byte-identical to an un-instrumented one (this is
-/// asserted by the `obs_determinism` integration test).
-pub fn run_timed_with_obs(config: &SweepConfig, obs: &Obs) -> (Sweep, TimingReport) {
-    let (sweep, report, _) = run_timed_with_campaign(config, obs);
+    let (sweep, report, _) = run_timed_with_campaign(config, &Obs::disabled());
     (sweep, report)
 }
 
-/// [`run_timed_with_obs`], additionally folding every completed run into
-/// a streaming [`CampaignStats`] as it finishes.
+/// [`run_timed`], with every run's telemetry routed through `obs` and
+/// every completed run folded into a streaming [`CampaignStats`].
+///
+/// The 90 `(app, policy)` scenarios are built up front and run in one
+/// pass of the campaign runner on `config.jobs` workers. Each run's seed is
+/// [`derive_seed`]`(config.seed, app_index)` — a pure function of the
+/// work item, never of worker identity or completion order — and results
+/// come back in input order, so the returned [`Sweep`] is identical for
+/// any worker count. Worker threads emit into the shared sink
+/// concurrently, so the inter-run interleaving of exported events is
+/// nondeterministic, but the simulations never read from the sink (the
+/// `obs_determinism` integration test asserts this).
 ///
 /// The fold happens on the calling thread in run *completion* order — a
 /// `campaign.progress` event (running count plus headline percentiles)
@@ -178,78 +161,56 @@ pub fn run_timed_with_campaign(
     config: &SweepConfig,
     obs: &Obs,
 ) -> (Sweep, TimingReport, CampaignStats) {
-    let specs = catalog::all_apps();
-    let items: Vec<(usize, AppSpec, Policy)> = specs
+    let scenarios: Vec<Scenario> = catalog::all_apps()
         .into_iter()
         .enumerate()
         .flat_map(|(app_index, spec)| {
-            SWEEP_POLICIES.map(|policy| (app_index, spec.clone(), policy))
+            let seed = derive_seed(config.seed, app_index as u64);
+            SWEEP_POLICIES.map(|policy| {
+                let s = Scenario::new(Workload::App(spec.clone()), policy)
+                    .with_duration(config.duration)
+                    .with_seed(seed)
+                    .with_naive_metering(config.naive_metering)
+                    .with_obs(obs.clone());
+                if config.quarter_resolution {
+                    s.at_quarter_resolution()
+                } else {
+                    s
+                }
+            })
         })
         .collect();
 
-    let runner = ParallelRunner::new(config.jobs);
-    let started = Instant::now(); // ccdem-lint: allow(determinism) — timing only
-    obs.emit("sweep.start", ccdem_simkit::time::SimTime::ZERO, |event| {
+    let total = scenarios.len();
+    obs.emit("sweep.start", SimTime::ZERO, |event| {
         event
-            .field("apps", items.len() / SWEEP_POLICIES.len())
-            .field("runs", items.len())
-            .field("jobs", runner.jobs());
+            .field("apps", total / SWEEP_POLICIES.len())
+            .field("runs", total)
+            .field("jobs", ParallelRunner::new(config.jobs).jobs());
     });
-    let mut span = obs.span("sweep", ccdem_simkit::time::SimTime::ZERO);
-    span.field("runs", items.len());
-    let total = items.len();
+    let mut span = obs.span("sweep", SimTime::ZERO);
+    span.field("runs", total);
     let mut campaign = CampaignStats::new();
-    let runs = runner.run_many_observed(
-        items,
-        RunScratch::new,
-        |scratch, _, (app_index, spec, policy)| {
-            let seed = derive_seed(config.seed, app_index as u64);
-            let run_started = Instant::now(); // ccdem-lint: allow(determinism) — timing only
-            let mut s = Scenario::new(Workload::App(spec), policy)
-                .with_duration(config.duration)
-                .with_seed(seed)
-                .with_naive_metering(config.naive_metering)
-                .with_obs(obs.clone());
-            if config.profile {
-                s = s.with_profiling();
-            }
-            if config.quarter_resolution {
-                s = s.at_quarter_resolution();
-            }
-            let result = s.run_with_scratch(scratch);
-            let timing = RunTiming::new(
-                format!("{} / {}", result.app_name, policy),
-                run_started.elapsed(),
-            );
-            (result, timing)
-        },
-        |_, (result, _)| {
-            campaign.observe_run(result);
-            campaign.emit_progress(obs, total);
-        },
-    );
+    let (runs, report) = run_scenarios(config.jobs, scenarios, |result| {
+        campaign.observe_run(result);
+        campaign.emit_progress(obs, total);
+    });
 
-    let mut report = TimingReport::new(runner.jobs());
-    let mut apps = Vec::new();
-    let mut runs = runs.into_iter();
     // Each app contributes exactly `SWEEP_POLICIES.len()` consecutive
     // runs (baseline, section, boost); a partial trailing group cannot
     // occur by construction and would be dropped rather than panic.
-    while let (Some((baseline, t0)), Some((section, t1)), Some((boost, t2))) =
-        (runs.next(), runs.next(), runs.next())
-    {
-        for t in [t0, t1, t2] {
-            report.push(t);
-        }
-        apps.push(AppSweep {
+    let mut runs = runs.into_iter();
+    let apps = std::iter::from_fn(|| {
+        let (baseline, section, boost) = (runs.next()?, runs.next()?, runs.next()?);
+        Some(AppSweep {
             app: baseline.app_name.clone(),
             class: baseline.app_class,
             baseline,
             section,
             boost,
-        });
-    }
-    report.finish(started.elapsed());
+        })
+    })
+    .collect();
     campaign.emit_end(obs);
     (Sweep { apps }, report, campaign)
 }
@@ -428,7 +389,6 @@ mod tests {
                 quarter_resolution: true,
                 jobs: 0,
                 naive_metering: false,
-                profile: false,
             })
         })
     }

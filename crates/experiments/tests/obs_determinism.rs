@@ -19,7 +19,6 @@ fn config(jobs: usize) -> SweepConfig {
         quarter_resolution: true,
         jobs,
         naive_metering: false,
-        profile: false,
     }
 }
 
@@ -30,13 +29,9 @@ fn jsonl_telemetry_does_not_change_sweep_results() {
     let path = std::env::temp_dir().join("ccdem_obs_determinism.jsonl");
     let sink = Arc::new(JsonlSink::create(&path).expect("create JSONL sink"));
     let obs = Obs::to_sink(sink.clone());
-    // Hardest mode: four workers, a live sink, *and* the decision-path
-    // profiler — still byte-identical to the silent serial sweep.
-    let traced_config = SweepConfig {
-        profile: true,
-        ..config(4)
-    };
-    let (traced, _timing) = sweep::run_timed_with_obs(&traced_config, &obs);
+    // Hardest mode: four workers and a live sink — still byte-identical
+    // to the silent serial sweep.
+    let (traced, _timing, _) = sweep::run_timed_with_campaign(&config(4), &obs);
     obs.flush();
 
     // Byte-identical result sets: four telemetry-emitting workers vs one
@@ -100,7 +95,7 @@ fn ring_buffer_telemetry_does_not_change_sweep_results() {
     let plain = sweep::run(&config(2));
     let sink = Arc::new(RingSink::new(4096));
     let obs = Obs::to_sink(sink.clone());
-    let (traced, _timing) = sweep::run_timed_with_obs(&config(2), &obs);
+    let (traced, _timing, _) = sweep::run_timed_with_campaign(&config(2), &obs);
     assert_eq!(format!("{:?}", plain.apps), format!("{:?}", traced.apps));
     assert!(!sink.is_empty(), "ring sink captured nothing");
 }

@@ -5,7 +5,11 @@
 //! worker count can never leak into simulation results. These tests pin
 //! that down end to end on the real 30-app sweep.
 
+use ccdem_experiments::ablation::{self, Knob};
+use ccdem_experiments::campaign::GridConfig;
+use ccdem_experiments::generalize;
 use ccdem_experiments::sweep::{self, SweepConfig};
+use ccdem_obs::Obs;
 use ccdem_simkit::time::SimDuration;
 
 fn config(jobs: usize) -> SweepConfig {
@@ -15,7 +19,6 @@ fn config(jobs: usize) -> SweepConfig {
         quarter_resolution: true,
         jobs,
         naive_metering: false,
-        profile: false,
     }
 }
 
@@ -65,4 +68,34 @@ fn timing_report_covers_every_run() {
     // simulated results.
     let again = sweep::run(&config(1));
     assert_eq!(format!("{:?}", sweep.apps), format!("{:?}", again.apps));
+}
+
+fn grid(jobs: usize) -> GridConfig {
+    GridConfig {
+        duration: SimDuration::from_secs(5),
+        seed: 4321,
+        jobs,
+    }
+}
+
+#[test]
+fn four_workers_reproduce_the_serial_ablations_exactly() {
+    // Every point of all seven sweeps and its baseline twin share one
+    // parallel pass; regrouping them must not depend on completion order.
+    let serial = ablation::run(&grid(1), &Knob::ALL, &Obs::disabled());
+    let parallel = ablation::run(&grid(4), &Knob::ALL, &Obs::disabled());
+    assert_eq!(serial.len(), Knob::ALL.len());
+    assert_eq!(serial, parallel, "worker count leaked into the ablations");
+    for (s, p) in serial.iter().zip(&parallel) {
+        assert_eq!(s.to_string(), p.to_string(), "{}: report differs", s.name);
+    }
+}
+
+#[test]
+fn four_workers_reproduce_the_serial_generalization_grid_exactly() {
+    let serial = generalize::run(&grid(1));
+    let parallel = generalize::run(&grid(4));
+    assert_eq!(serial.runs.len(), 9);
+    assert_eq!(serial, parallel, "worker count leaked into the grid");
+    assert_eq!(serial.to_string(), parallel.to_string());
 }

@@ -3,10 +3,15 @@
 //!
 //! The experiment sweeps are embarrassingly parallel: each `(app, policy)`
 //! scenario owns its RNG (seeded purely from the scenario description) and
-//! shares no mutable state with its siblings. [`ParallelRunner::run_many_with`]
-//! exploits that with plain `std::thread::scope` workers pulling chunks
-//! from a shared queue — no external dependencies, no work stealing, no
-//! unsafe code.
+//! shares no mutable state with its siblings. The runner has two worker
+//! loops over plain `std::thread::scope` workers — no external
+//! dependencies, no unsafe code:
+//!
+//! * [`ParallelRunner::run_many_observed`] runs a materialized list,
+//!   workers pulling chunks from a shared queue, and returns the results
+//!   in input order;
+//! * [`ParallelRunner::run_batches`] streams an index range through
+//!   per-worker accumulators, for campaigns too large to materialize.
 //!
 //! # Determinism
 //!
@@ -126,6 +131,24 @@ impl ParallelRunner {
         self.jobs
     }
 
+    /// [`run_many_observed`](Self::run_many_observed) without an
+    /// observer: runs `f(state, index, item)` for every item and returns
+    /// the results in input order.
+    ///
+    /// # Panics
+    ///
+    /// Propagates the first panic raised by `init` or `f` (after all
+    /// workers stop).
+    pub fn run_many_with<S, T, R, I, F>(&self, items: Vec<T>, init: I, f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, usize, T) -> R + Sync,
+    {
+        self.run_many_observed(items, init, f, |_, _| {})
+    }
+
     /// Runs `f(state, index, item)` for every item and returns the
     /// results in input order. `f` receives each item's index in `items`
     /// so it can derive per-run seeds (see [`derive_seed`]).
@@ -144,6 +167,20 @@ impl ParallelRunner {
     /// guarantee. Which items share a state *is* scheduling-dependent;
     /// results must not be.
     ///
+    /// **Streaming observer:** as each item completes,
+    /// `observe(index, &result)` runs on the *calling thread* before the
+    /// result is slotted, so a sweep can fold per-run metric deltas into
+    /// campaign-level aggregates online — memory stays bounded by the
+    /// aggregate, never by the run count — and emit progress while
+    /// workers are still busy. Results are returned in input order as
+    /// always, but `observe` sees them in **completion order**, which is
+    /// scheduling-dependent. Observers must therefore be order-oblivious
+    /// folds (e.g. mergeable sketches, whose merge is commutative and
+    /// associative) for their final state to be deterministic; anything
+    /// order-sensitive they surface (like progress lines) is monitoring,
+    /// not results. With one worker (or one item) `observe` runs inline
+    /// after each item, in input order — the exact serial path.
+    ///
     /// # Allocation contract
     ///
     /// This path **materializes everything**: the caller builds a
@@ -159,92 +196,6 @@ impl ParallelRunner {
     /// With more than one worker, workers pull chunks from a shared
     /// queue; chunking keeps queue contention negligible while still
     /// balancing uneven run times.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the first panic raised by `init` or `f` (after all
-    /// workers stop).
-    pub fn run_many_with<S, T, R, I, F>(&self, items: Vec<T>, init: I, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize, T) -> R + Sync,
-    {
-        let n = items.len();
-        let jobs = self.jobs.min(n).max(1);
-        if jobs == 1 {
-            let mut state = init();
-            return items
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| f(&mut state, i, t))
-                .collect();
-        }
-
-        // Chunks of roughly a quarter of a fair share: large enough that
-        // the queue lock is cold, small enough to rebalance stragglers.
-        let chunk = n.div_ceil(jobs * 4).max(1);
-        let queue: Mutex<VecDeque<(usize, T)>> =
-            Mutex::new(items.into_iter().enumerate().collect());
-        let results: Mutex<Vec<Option<R>>> =
-            Mutex::new((0..n).map(|_| None).collect());
-
-        std::thread::scope(|scope| {
-            let mut workers = Vec::with_capacity(jobs);
-            for _ in 0..jobs {
-                workers.push(scope.spawn(|| {
-                    // Built on first use so workers that never win a
-                    // batch never pay for a state.
-                    let mut state: Option<S> = None;
-                    loop {
-                        let batch: Vec<(usize, T)> = {
-                            // ccdem-lint: allow(panic) — poisoned lock means a
-                            // worker already panicked; re-raising is correct
-                            let mut q = queue.lock().expect("queue poisoned");
-                            let take = chunk.min(q.len());
-                            if take == 0 {
-                                break;
-                            }
-                            q.drain(..take).collect()
-                        };
-                        for (index, item) in batch {
-                            let result = f(state.get_or_insert_with(&init), index, item);
-                            // ccdem-lint: allow(panic) — poison re-raises a
-                            // worker panic; `index` < `n` by construction
-                            results.lock().expect("results poisoned")[index] = Some(result);
-                        }
-                    }
-                }));
-            }
-            join_all(workers);
-        });
-
-        results
-            .into_inner()
-            // ccdem-lint: allow(panic) — poisoned lock re-raises a worker
-            // panic; every slot was filled before the scope closed
-            .expect("results poisoned")
-            .into_iter()
-            .map(|r| r.expect("worker completed every drained job")) // ccdem-lint: allow(panic)
-            .collect()
-    }
-
-    /// [`run_many_with`](Self::run_many_with) plus a **streaming
-    /// observer**: as each item completes, `observe(index, &result)` runs
-    /// on the *calling thread* before the result is slotted, so a sweep
-    /// can fold per-run metric deltas into campaign-level aggregates
-    /// online — memory stays bounded by the aggregate, never by the run
-    /// count — and emit progress while workers are still busy.
-    ///
-    /// Ordering contract: results are returned in input order as always,
-    /// but `observe` sees them in **completion order**, which is
-    /// scheduling-dependent. Observers must therefore be order-oblivious
-    /// folds (e.g. mergeable sketches, whose merge is commutative and
-    /// associative) for their final state to be deterministic; anything
-    /// order-sensitive they surface (like progress lines) is monitoring,
-    /// not results. With one worker (or one item) `observe` runs inline
-    /// after each item, in input order — the exact serial path.
     ///
     /// # Panics
     ///
@@ -279,6 +230,8 @@ impl ParallelRunner {
                 .collect();
         }
 
+        // Chunks of roughly a quarter of a fair share: large enough that
+        // the queue lock is cold, small enough to rebalance stragglers.
         let chunk = n.div_ceil(jobs * 4).max(1);
         let queue: Mutex<VecDeque<(usize, T)>> =
             Mutex::new(items.into_iter().enumerate().collect());
@@ -291,6 +244,8 @@ impl ParallelRunner {
                 let tx = tx.clone();
                 workers.push(scope.spawn(|| {
                     let tx = tx; // move the clone, not the original
+                                 // Built on first use so workers that never win a
+                                 // batch never pay for a state.
                     let mut state: Option<S> = None;
                     loop {
                         let batch: Vec<(usize, T)> = {
@@ -349,8 +304,9 @@ impl ParallelRunner {
     /// derives the item from its index (see [`derive_seed`]), runs it,
     /// and folds the result into the accumulator, so a million-item
     /// campaign needs neither a `Vec<T>` of specs nor a `Vec<R>` of
-    /// results (contrast the [`run_many_with`](Self::run_many_with)
-    /// allocation contract).
+    /// results (contrast the
+    /// [`run_many_observed`](Self::run_many_observed) allocation
+    /// contract).
     ///
     /// # Determinism
     ///

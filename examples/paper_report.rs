@@ -11,6 +11,7 @@
 //! per app); `--paper` switches to paper-fidelity parameters (full
 //! 720×1280 resolution, 3 minutes per app — slower).
 
+use ccdem::experiments::campaign::GridConfig;
 use ccdem::experiments::{ablation, certificate, fig2, fig3, fig6, fig7, fig8, generalize, sweep};
 use ccdem::simkit::time::SimDuration;
 
@@ -107,19 +108,19 @@ fn main() {
 
     if wants("generalize") {
         ran = true;
-        let cfg = generalize::GeneralizeConfig {
+        let cfg = GridConfig {
             duration: per_app.min(SimDuration::from_secs(30)),
-            ..Default::default()
+            ..GridConfig::new(generalize::DEFAULT_SEED)
         };
         println!("{}\n", generalize::run(&cfg));
     }
     if wants("ablations") {
         ran = true;
-        let cfg = ablation::AblationConfig {
+        let cfg = GridConfig {
             duration: per_app.min(SimDuration::from_secs(30)),
-            ..Default::default()
+            ..GridConfig::new(ablation::DEFAULT_SEED)
         };
-        for a in ablation::run_all(&cfg, &ccdem::obs::Obs::disabled()) {
+        for a in ablation::run(&cfg, &ablation::Knob::ALL, &ccdem::obs::Obs::disabled()) {
             println!("{a}\n");
         }
     }

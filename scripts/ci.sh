@@ -45,6 +45,19 @@ for verb in "simulate --app Facebook" sweep fleet; do
         fi
     done
 done
+# Huge worker counts: a --jobs above the documented maximum must exit 1
+# with a message naming --jobs. Both inputs stay cheap even without the
+# bound (no fleet batch to run; the sweep caps its workers at 90 runs).
+for args in "fleet --devices 0" "sweep --duration 1"; do
+    status=0
+    # shellcheck disable=SC2086 # the arguments are deliberately split
+    timeout 60 target/release/ccdem $args --jobs 1000000 -q \
+        >/dev/null 2>target/huge_jobs.txt || status=$?
+    if [ "$status" -ne 1 ] || ! grep -q -- --jobs target/huge_jobs.txt; then
+        echo "ci: ccdem $args --jobs 1000000 exited $status" >&2
+        exit 1
+    fi
+done
 # Fleet smoke: the acceptance scenario end-to-end on the release
 # binary — run a small campaign, kill a second run at its first
 # checkpoint, resume it under a different worker count, and require the

@@ -125,7 +125,8 @@ fn print_usage() {
          rewrites lint.allow to the current findings, --stats\n                                \
          prints per-family counts, call-graph size and wall time\n\n\
          every command accepts --quiet/-q to silence progress output;\n\
-         --duration is at most {MAX_DURATION_SECS} seconds (one simulated day)\n\n\
+         --duration is at most {MAX_DURATION_SECS} seconds (one simulated day);\n\
+         --jobs is at most {MAX_JOBS} worker threads (0 = all cores)\n\n\
          see also: cargo run --release --example paper_report -- all\n\
          performance: the benchmark command in BENCHMARK.json (perfbench/NOTES.md)"
     );
@@ -211,6 +212,20 @@ fn parse_duration(flags: &Flags, default_secs: &str) -> Result<SimDuration, Stri
             "--duration must be a whole number of seconds from 1 to {MAX_DURATION_SECS}"
         )),
     }
+}
+
+/// The most worker threads `--jobs` accepts. Every worker is an OS
+/// thread and the runs are CPU-bound, so workers beyond the host's cores
+/// add no speed; the bound stops a typo from asking the OS for millions
+/// of threads (`fleet` starts one per worker, up to one per batch).
+const MAX_JOBS: usize = 1_024;
+
+/// `--jobs`, defaulting to 0 (all available cores); 1 is the serial path.
+fn parse_jobs(flags: &Flags) -> Result<usize, String> {
+    let jobs = flags.value("--jobs").unwrap_or("0").parse::<usize>();
+    jobs.ok()
+        .filter(|&jobs| jobs <= MAX_JOBS)
+        .ok_or_else(|| format!("--jobs must be a whole number from 0 (all cores) to {MAX_JOBS}"))
 }
 
 fn parse_seed(flags: &Flags, default: &str) -> Result<u64, String> {
@@ -352,11 +367,10 @@ fn cmd_sweep(args: &[String], full_report: bool) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // 0 = all available cores; 1 = the exact legacy serial path.
-    let jobs = match flags.value("--jobs").unwrap_or("0").parse::<usize>() {
+    let jobs = match parse_jobs(&flags) {
         Ok(jobs) => jobs,
-        Err(_) => {
-            eprintln!("--jobs must be an unsigned integer (0 = all cores)");
+        Err(e) => {
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
@@ -381,7 +395,6 @@ fn cmd_sweep(args: &[String], full_report: bool) -> ExitCode {
         quarter_resolution: true,
         jobs,
         naive_metering: false,
-        profile: false,
     };
     progress!(
         "running the 30-app sweep (3 policies × 30 apps, {} s per run)…",
@@ -464,11 +477,7 @@ fn cmd_fleet(args: &[String]) -> ExitCode {
         config.devices = parse_u64("--devices", &defaults.0)?;
         config.seed = parse_u64("--seed", &defaults.1)?;
         config.batch = parse_u64("--batch", &defaults.2)?.max(1);
-        config.jobs = flags
-            .value("--jobs")
-            .unwrap_or("0")
-            .parse::<usize>()
-            .map_err(|_| "--jobs must be an unsigned integer (0 = all cores)".to_string())?;
+        config.jobs = parse_jobs(&flags)?;
         if flags.value("--duration").is_some() || resumed.is_none() {
             config.duration = parse_duration(&flags, &defaults.3)?;
         }

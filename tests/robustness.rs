@@ -114,3 +114,21 @@ fn huge_durations_exit_with_a_message() {
         }
     }
 }
+
+/// A `--jobs` far above any core count used to be taken at face value,
+/// and `fleet` starts one OS thread per worker (up to one per batch).
+/// Both inputs here stay cheap even without the bound — `--devices 0`
+/// has no batch to run and the sweep caps its workers at its 90 runs —
+/// and must now exit 1 with a message naming the flag.
+#[test]
+fn huge_job_counts_exit_with_a_message() {
+    let cases: [&[&str]; 2] = [
+        &["fleet", "--devices", "0", "--jobs", "1000000"],
+        &["sweep", "--duration", "1", "--jobs", "1000000"],
+    ];
+    for args in cases {
+        let (code, stderr) = ccdem_within(args, std::time::Duration::from_secs(60));
+        assert_eq!(code, Some(1), "{args:?}: stderr {stderr:?}");
+        assert!(stderr.contains("--jobs"), "{args:?}: stderr {stderr:?}");
+    }
+}
